@@ -259,77 +259,58 @@ def update_quantum_population(
 class _PackedRegisters:
     """The quantum population as dense amplitude arrays.
 
-    Block `main` holds the full-order registers of every individual, shape
-    (population, registers, 2**order); `tail` holds the optional shorter
-    final register, shape (population, 2**tail_order).  All operations here
-    are float-identical to the per-register public operations, and the
+    `blocks` holds one (shifts, amplitudes) pair per run of equal-order
+    registers in chromosome_layout: the full-order registers, then the
+    shorter final register if the order does not divide the gene count.
+    amplitudes has shape (population, count, 2**order); shifts are the bit
+    shifts that expand a register value, high bit first.  All operations
+    here are float-identical to the per-register public operations, and the
     observation draws consume the random stream exactly like
     observe_chromosome.
     """
 
     def __init__(self, pop_size: int, n_bits: int, order: int):
         layout = chromosome_layout(n_bits, order)
-        self.n_bits = n_bits
-        self.order = layout[0]
-        self.tail_order = layout[-1] if layout[-1] != self.order else 0
-        self.n_main = len(layout) - (1 if self.tail_order else 0)
-        dim = 2**self.order
-        self.main = np.full((pop_size, self.n_main, dim), math.sqrt(1.0 / dim))
-        if self.tail_order:
-            tdim = 2**self.tail_order
-            self.tail = np.full((pop_size, tdim), math.sqrt(1.0 / tdim))
-        else:
-            self.tail = None
-        self._shifts = np.arange(self.order - 1, -1, -1)
-
-    @property
-    def registers_per_individual(self) -> int:
-        return self.n_main + (1 if self.tail_order else 0)
+        self.registers_per_individual = len(layout)
+        self.blocks = []
+        for block_order in dict.fromkeys(layout):
+            dim = 2**block_order
+            amplitudes = np.full((pop_size, layout.count(block_order), dim), math.sqrt(1.0 / dim))
+            self.blocks.append((np.arange(block_order - 1, -1, -1), amplitudes))
 
     def observe(self, individual: int, rng: RandomSource) -> BitString:
         """Sample one bitstring from one individual's registers."""
         draws = rng.uniforms(self.registers_per_individual)
-        probs = self.main[individual] ** 2
-        thresholds = np.cumsum(probs, axis=1)
-        values = np.sum(thresholds <= draws[: self.n_main, None], axis=1)
-        np.minimum(values, probs.shape[1] - 1, out=values)
-        bits = ((values[:, None] >> self._shifts) & 1).astype(np.uint8).ravel()
-        if self.tail is None:
-            return bits
-        tprobs = self.tail[individual] ** 2
-        tvalue = min(int(np.sum(np.cumsum(tprobs) <= draws[-1])), len(tprobs) - 1)
-        tshifts = np.arange(self.tail_order - 1, -1, -1)
-        tbits = ((tvalue >> tshifts) & 1).astype(np.uint8)
-        return np.concatenate([bits, tbits])
+        parts = []
+        first = 0
+        for shifts, amplitudes in self.blocks:
+            count = amplitudes.shape[1]
+            probs = amplitudes[individual] ** 2
+            thresholds = np.cumsum(probs, axis=1)
+            values = np.sum(thresholds <= draws[first : first + count, None], axis=1)
+            np.minimum(values, probs.shape[1] - 1, out=values)
+            parts.append(((values[:, None] >> shifts) & 1).astype(np.uint8).ravel())
+            first += count
+        return np.concatenate(parts)
 
     def contract(self, b: BitString, mu: float) -> None:
         """Contract every register of every individual toward b, in place."""
-        if self.n_main:
-            groups = (
-                b[: self.n_main * self.order].reshape(self.n_main, self.order)
-                @ (1 << self._shifts)
-            ).astype(np.int64)
-            idx = groups[None, :, None]
-            self.main *= mu
-            squares = self.main**2
+        pos = 0
+        for shifts, amplitudes in self.blocks:
+            count, order = amplitudes.shape[1], len(shifts)
+            groups = b[pos : pos + count * order].reshape(count, order) @ (1 << shifts)
+            pos += count * order
+            idx = groups.astype(np.int64)[None, :, None]
+            amplitudes *= mu
+            squares = amplitudes**2
             others = squares.sum(axis=2) - np.take_along_axis(squares, idx, axis=2)[:, :, 0]
             np.put_along_axis(
-                self.main, idx, np.sqrt(np.maximum(0.0, 1.0 - others))[:, :, None], axis=2
+                amplitudes, idx, np.sqrt(np.maximum(0.0, 1.0 - others))[:, :, None], axis=2
             )
-            norm2 = (self.main**2).sum(axis=2)
+            norm2 = (amplitudes**2).sum(axis=2)
             drift = np.abs(norm2 - 1.0) > RENORM_TRIGGER
             if drift.any():
-                self.main[drift] /= np.sqrt(norm2[drift])[:, None]
-        if self.tail is not None:
-            group = bits_to_group(b[self.n_main * self.order :])
-            self.tail *= mu
-            squares = self.tail**2
-            others = squares.sum(axis=1) - squares[:, group]
-            self.tail[:, group] = np.sqrt(np.maximum(0.0, 1.0 - others))
-            norm2 = (self.tail**2).sum(axis=1)
-            drift = np.abs(norm2 - 1.0) > RENORM_TRIGGER
-            if drift.any():
-                self.tail[drift] /= np.sqrt(norm2[drift])[:, None]
+                amplitudes[drift] /= np.sqrt(norm2[drift])[:, None]
 
 
 def _check_problem(problem: FitnessFunction) -> int:

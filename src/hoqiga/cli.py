@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import logging
 import os
 import sys
 from pathlib import Path
 
-from .algorithms import Qiga1Config, QigaConfig, SgaConfig, qiga1_evolve, qiga_evolve, sga_evolve
 from .core import RandomSource, bits_to_string
-from .harness import ExperimentPlan, export_all, rank_algorithms, run_experiment
+from .harness import AlgorithmSpec, ExperimentPlan, ProblemSpec, export_all, run_experiment
 from .metaopt import TuningSpec, export_tuning_csv, tune
 from .problems import generate_uniform_3sat, load_problem, to_dimacs
 from .theory import profile_grid
@@ -41,7 +41,7 @@ def _build_parser() -> _Parser:
     run = sub.add_parser("run", help="run one algorithm on one problem")
     run.add_argument("--algo", required=True, choices=["qiga2", "qiga-r", "qiga1", "sga"])
     run.add_argument("--order", type=int, help="register order for qiga-r")
-    run.add_argument("--mu", type=float, default=0.9918, help="contraction factor")
+    run.add_argument("--mu", type=float, help="contraction factor for qiga2 and qiga-r")
     run.add_argument(
         "--problem", required=True,
         help="DIMACS path or spec: onemax:N, trap:PAIRS, 3sat:VARS:CLAUSES:SEED",
@@ -98,27 +98,16 @@ def _cmd_run(args) -> int:
     elif args.order is not None:
         raise UsageError("--order only applies to --algo qiga-r")
 
-    rng = RandomSource(args.seed)
-    if args.algo in ("qiga2", "qiga-r"):
-        config = QigaConfig(
-            order=2 if args.algo == "qiga2" else args.order,
-            contraction_factor=args.mu,
-            max_fitness_evaluations=args.maxfe,
-        )
-        result = qiga_evolve(problem, config, rng)
-    elif args.algo == "qiga1":
-        config = Qiga1Config(max_fitness_evaluations=args.maxfe)
-        result = qiga1_evolve(problem, config, rng)
-    else:
-        population = 100
-        generations, remainder = divmod(args.maxfe, population)
-        if remainder or generations < 1:
-            raise UsageError(
-                f"--maxfe must be a positive multiple of the sga population "
-                f"({population}), got {args.maxfe}"
-            )
-        config = SgaConfig(population_size=population, generations=generations)
-        result = sga_evolve(problem, config, rng)
+    if args.mu is not None and args.algo not in ("qiga2", "qiga-r"):
+        raise UsageError("--mu only applies to --algo qiga2 and qiga-r")
+
+    params = {"order": args.order, "mu": args.mu}
+    spec = AlgorithmSpec(args.algo, {k: v for k, v in params.items() if v is not None})
+    try:
+        spec.build(args.maxfe)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    result = spec.run(problem, args.seed, args.maxfe)
 
     print(f"problem {problem.name} size {problem.size}")
     print(f"best_fitness {result.best_fitness!r}")
@@ -142,30 +131,17 @@ def _cmd_bench(args) -> int:
     if args.jobs is not None:
         if args.jobs < 1:
             raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
-        plan = ExperimentPlan(
-            problems=plan.problems,
-            algorithms=plan.algorithms,
-            runs_per_cell=plan.runs_per_cell,
-            base_seed=plan.base_seed,
-            max_fitness_evaluations=plan.max_fitness_evaluations,
-            jobs=args.jobs,
-        )
+        plan = dataclasses.replace(plan, jobs=args.jobs)
     outdir = args.outdir or os.environ.get(OUTDIR_ENV) or "."
     result = run_experiment(plan)
-    written = export_all(result, outdir)
-    for path in written:
+    for path in export_all(result, outdir):
         print(f"wrote {path}")
-    if len(result.algorithms()) >= 2 and not all(c.failed for c in result.cells):
-        try:
-            ranking = rank_algorithms(result)
-        except ValueError:
-            ranking = None
-        if ranking is not None:
-            print("ranking:")
-            for rank, (label, count) in enumerate(ranking.rows, start=1):
-                print(f"  {rank}. {label}: {count}")
-            for problem, winners in ranking.ties:
-                print(f"  tie on {problem}: {', '.join(winners)}")
+    if result.ranking is not None:
+        print("ranking:")
+        for rank, (label, count) in enumerate(result.ranking.rows, start=1):
+            print(f"  {rank}. {label}: {count}")
+        for problem, winners in result.ranking.ties:
+            print(f"  tie on {problem}: {', '.join(winners)}")
     if result.failures:
         for cell in result.failures:
             print(f"failed: {cell.problem} / {cell.algorithm}: {cell.error}", file=sys.stderr)
@@ -234,8 +210,6 @@ def _cmd_meta(args) -> int:
             grid = tuple(float(g) for g in args.grid.split(","))
         except ValueError:
             raise UsageError(f"--grid must be comma-separated floats, got {args.grid!r}")
-        from .harness import ProblemSpec
-
         problems = tuple(
             ProblemSpec(name=source, source=source) for source in args.problems.split(",")
         )

@@ -13,6 +13,8 @@ import csv
 import json
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
+from html import escape
 from pathlib import Path
 from typing import Any
 
@@ -33,7 +35,7 @@ from .problems import FitnessFunction, load_problem
 
 logger = logging.getLogger(__name__)
 
-ALGORITHM_IDS = ("qiga2", "qiga-r", "qiga1", "sga")
+_EVOLVERS = {"qiga2": qiga_evolve, "qiga-r": qiga_evolve, "qiga1": qiga1_evolve, "sga": sga_evolve}
 
 
 @dataclass(frozen=True)
@@ -56,65 +58,45 @@ class AlgorithmSpec:
     label: str = ""
 
     def __post_init__(self):
-        if self.id not in ALGORITHM_IDS:
-            raise ValueError(f"unknown algorithm {self.id!r}, expected one of {ALGORITHM_IDS}")
+        if self.id not in _EVOLVERS:
+            raise ValueError(f"unknown algorithm {self.id!r}, expected one of {tuple(_EVOLVERS)}")
         if isinstance(self.params, dict):
             object.__setattr__(self, "params", tuple(sorted(self.params.items())))
         if not self.label:
             object.__setattr__(self, "label", self.id)
 
     def build(self, max_fitness_evaluations: int):
-        """Materialise the config for this spec under the shared budget."""
+        """Materialise the config for this spec under the shared budget.
+
+        Only the given params are passed on; every other knob keeps its
+        config default.
+        """
         params = dict(self.params)
         if self.id in ("qiga2", "qiga-r"):
             if self.id == "qiga2":
                 params.setdefault("order", 2)
             elif "order" not in params:
                 raise ValueError("qiga-r requires an 'order' parameter")
-            mu = params.pop("mu", params.pop("contraction_factor", 0.9918))
-            return QigaConfig(
-                order=params.pop("order"),
-                quantum_population_size=params.pop("quantum_population_size", 10),
-                samples_per_individual=params.pop("samples_per_individual", 1),
-                contraction_factor=mu,
-                max_fitness_evaluations=max_fitness_evaluations,
-                **params,
-            )
+            if "mu" in params:
+                params["contraction_factor"] = params.pop("mu")
+            return QigaConfig(max_fitness_evaluations=max_fitness_evaluations, **params)
         if self.id == "qiga1":
             angle = params.pop("angle", None)
-            table = default_rotation_table(angle) if angle is not None else None
-            config = dict(
-                epsilon_guard=params.pop("epsilon_guard", 0.01),
-                quantum_population_size=params.pop("quantum_population_size", 10),
-                max_fitness_evaluations=max_fitness_evaluations,
-                **params,
-            )
-            if table is not None:
-                return Qiga1Config.with_table(table, **config)
-            return Qiga1Config(**config)
-        population = params.pop("population_size", 100)
+            if angle is not None:
+                params["rotation_table"] = tuple(default_rotation_table(angle).items())
+            return Qiga1Config(max_fitness_evaluations=max_fitness_evaluations, **params)
+        population = params.get("population_size", SgaConfig.population_size)
         generations, remainder = divmod(max_fitness_evaluations, population)
         if remainder or generations < 1:
             raise ValueError(
                 f"budget {max_fitness_evaluations} is not a whole number of "
                 f"sga generations of {population} evaluations"
             )
-        return SgaConfig(
-            population_size=population,
-            generations=generations,
-            crossover_probability=params.pop("crossover_probability", 0.65),
-            mutation_probability=params.pop("mutation_probability", 0.05),
-            **params,
-        )
+        return SgaConfig(generations=generations, **params)
 
     def run(self, problem: FitnessFunction, seed: int, max_fitness_evaluations: int) -> RunResult:
         config = self.build(max_fitness_evaluations)
-        rng = RandomSource(seed)
-        if self.id in ("qiga2", "qiga-r"):
-            return qiga_evolve(problem, config, rng)
-        if self.id == "qiga1":
-            return qiga1_evolve(problem, config, rng)
-        return sga_evolve(problem, config, rng)
+        return _EVOLVERS[self.id](problem, config, RandomSource(seed))
 
 
 @dataclass(frozen=True)
@@ -161,7 +143,7 @@ class ExperimentPlan:
             entry = dict(entry)
             algo_id = entry.pop("id")
             label = entry.pop("label", "")
-            algorithms.append(AlgorithmSpec(id=algo_id, params=tuple(sorted(entry.items())), label=label))
+            algorithms.append(AlgorithmSpec(algo_id, tuple(sorted(entry.items())), label))
         return cls(
             problems=problems,
             algorithms=tuple(algorithms),
@@ -184,7 +166,11 @@ class RunRecord:
 
 @dataclass
 class CellResult:
-    """All runs of one (problem, algorithm) cell, or its load failure."""
+    """All runs of one (problem, algorithm) cell, or why it failed.
+
+    A cell fails when its problem does not load or any of its runs raises;
+    a failed cell keeps no runs.
+    """
 
     problem: str
     algorithm: str
@@ -250,11 +236,23 @@ class ExperimentResult:
             seen.setdefault(c.algorithm, None)
         return list(seen)
 
+    @cached_property
+    def ranking(self) -> RankingTable | None:
+        """rank_algorithms of these cells, computed once; None when no ranking exists."""
+        try:
+            return rank_algorithms(self)
+        except ValueError:
+            return None
 
-def _execute_run(
-    algo: AlgorithmSpec, problem: FitnessFunction, seed: int, budget: int
-) -> RunRecord:
-    result = algo.run(problem, seed, budget)
+
+def _execute_run(task: tuple[AlgorithmSpec, FitnessFunction, int, int]) -> RunRecord | str:
+    """One seeded run, or the error message that fails its cell."""
+    algo, problem, seed, budget = task
+    try:
+        result = algo.run(problem, seed, budget)
+    except Exception as exc:  # isolated to its cell; bench reports it and exits 3
+        logger.debug("run %s seed %d failed", algo.label, seed, exc_info=True)
+        return str(exc)
     return RunRecord(
         seed=seed,
         best_fitness=result.best_fitness,
@@ -267,8 +265,9 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentResult:
     """Execute every cell of the plan.
 
     Run r of every cell uses seed base_seed + r.  A problem that fails to
-    load marks its cells failed and the rest of the experiment proceeds.
-    Parallel execution (jobs > 1) changes nothing observable.
+    load, or a run that raises, marks its cell failed and the rest of the
+    experiment proceeds.  Parallel execution (jobs > 1) changes nothing
+    observable.
     """
     loaded: dict[str, FitnessFunction | Exception] = {}
     for spec in plan.problems:
@@ -279,57 +278,49 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentResult:
             loaded[spec.name] = exc
 
     cells: list[CellResult] = []
-    pending: dict[tuple[int, int], CellResult] = {}
+    owners: list[CellResult] = []
     tasks = []
-    for p_idx, pspec in enumerate(plan.problems):
+    for pspec in plan.problems:
         problem = loaded[pspec.name]
-        for a_idx, aspec in enumerate(plan.algorithms):
+        for aspec in plan.algorithms:
             if isinstance(problem, Exception):
-                cell = CellResult(
-                    problem=pspec.name,
-                    algorithm=aspec.label,
-                    problem_size=None,
-                    error=str(problem),
-                )
-            else:
-                cell = CellResult(
-                    problem=pspec.name, algorithm=aspec.label, problem_size=problem.size
-                )
-                pending[(p_idx, a_idx)] = cell
-                for r in range(plan.runs_per_cell):
-                    tasks.append((p_idx, a_idx, aspec, problem, plan.base_seed + r))
-            cells.append(cell)
+                cells.append(CellResult(pspec.name, aspec.label, None, error=str(problem)))
+                continue
+            cells.append(CellResult(pspec.name, aspec.label, problem.size))
+            for r in range(plan.runs_per_cell):
+                owners.append(cells[-1])
+                tasks.append((aspec, problem, plan.base_seed + r, plan.max_fitness_evaluations))
 
-    budget = plan.max_fitness_evaluations
     if plan.jobs == 1:
-        outcomes = [
-            (p_idx, a_idx, seed, _execute_run(aspec, problem, seed, budget))
-            for p_idx, a_idx, aspec, problem, seed in tasks
-        ]
+        outcomes = list(map(_execute_run, tasks))
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=plan.jobs) as pool:
-            futures = {
-                pool.submit(_execute_run, aspec, problem, seed, budget): (p_idx, a_idx, seed)
-                for p_idx, a_idx, aspec, problem, seed in tasks
-            }
-            outcomes = []
-            for future in concurrent.futures.as_completed(futures):
-                p_idx, a_idx, seed = futures[future]
-                outcomes.append((p_idx, a_idx, seed, future.result()))
-        # Deterministic collection order regardless of completion order.
-        outcomes.sort(key=lambda item: (item[0], item[1], item[2]))
+            outcomes = list(pool.map(_execute_run, tasks))
 
-    for p_idx, a_idx, _seed, record in outcomes:
-        pending[(p_idx, a_idx)].runs.append(record)
+    for cell, outcome in zip(owners, outcomes):
+        if isinstance(outcome, RunRecord):
+            cell.runs.append(outcome)
+        elif not cell.failed:
+            cell.error = outcome
+    for cell in cells:
+        if cell.failed:
+            cell.runs = []
     return ExperimentResult(plan=plan, cells=cells)
 
 
 @dataclass
 class RankingTable:
-    """Win counts per algorithm: one win per problem with the top mean."""
+    """Win counts per algorithm: one win per problem with the top mean.
+
+    winners maps every ranked problem to its sorted winning labels.
+    """
 
     rows: list[tuple[str, int]]
-    ties: list[tuple[str, list[str]]]
+    winners: dict[str, list[str]]
+
+    @property
+    def ties(self) -> list[tuple[str, list[str]]]:
+        return [(problem, labels) for problem, labels in self.winners.items() if len(labels) > 1]
 
     def wins(self, algorithm: str) -> int:
         for label, count in self.rows:
@@ -353,23 +344,19 @@ def rank_algorithms(result: ExperimentResult) -> RankingTable:
     if len(algorithms) < 2:
         raise ValueError("ranking needs at least two algorithms")
     wins = {label: 0 for label in algorithms}
-    ties: list[tuple[str, list[str]]] = []
-    ranked_any = False
+    winners: dict[str, list[str]] = {}
     for problem in result.problems():
         cells = [c for c in result.cells if c.problem == problem]
         if any(c.failed for c in cells):
             continue
-        ranked_any = True
         best = max(c.mean for c in cells)
-        winners = [c.algorithm for c in cells if c.mean == best]
-        for label in winners:
+        winners[problem] = sorted(c.algorithm for c in cells if c.mean == best)
+        for label in winners[problem]:
             wins[label] += 1
-        if len(winners) > 1:
-            ties.append((problem, sorted(winners)))
-    if not ranked_any:
+    if not winners:
         raise ValueError("ranking needs at least one fully successful problem")
     rows = sorted(wins.items(), key=lambda kv: (-kv[1], kv[0]))
-    return RankingTable(rows=rows, ties=ties)
+    return RankingTable(rows=rows, winners=winners)
 
 
 def _fmt(value: float) -> str:
@@ -392,16 +379,8 @@ def export_runs_csv(result: ExperimentResult, path: str | Path) -> Path:
 
 
 def export_aggregate_csv(result: ExperimentResult, path: str | Path) -> Path:
-    """Summary CSV: one row per cell, with a per-problem win marker."""
-    ranking_wins: dict[tuple[str, str], int] = {}
-    if len(result.algorithms()) >= 2 and not all(c.failed for c in result.cells):
-        for problem in result.problems():
-            cells = [c for c in result.cells if c.problem == problem]
-            if any(c.failed for c in cells):
-                continue
-            best = max(c.mean for c in cells)
-            for c in cells:
-                ranking_wins[(problem, c.algorithm)] = int(c.mean == best)
+    """Summary CSV: one row per cell, with the ranking's per-problem win marker."""
+    winners = result.ranking.winners if result.ranking is not None else {}
     path = Path(path)
     with path.open("w", newline="\n") as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -413,7 +392,7 @@ def export_aggregate_csv(result: ExperimentResult, path: str | Path) -> Path:
             writer.writerow(
                 [cell.problem, cell.algorithm, _fmt(cell.mean), _fmt(cell.std),
                  _fmt(cell.minimum), _fmt(cell.maximum),
-                 ranking_wins.get((cell.problem, cell.algorithm), "")]
+                 int(cell.algorithm in winners[cell.problem]) if cell.problem in winners else ""]
             )
     return path
 
@@ -470,7 +449,7 @@ def export_convergence_svg(
         f'width="{_SVG_W}" height="{_SVG_H}" viewBox="0 0 {_SVG_W} {_SVG_H}">',
         f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
         f'<text x="{_SVG_W // 2}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{problem}</text>',
+        f'font-family="sans-serif" font-size="16">{escape(problem)}</text>',
     ]
     axis_y = _MARGIN_T + plot_h
     parts.append(
@@ -517,7 +496,8 @@ def export_convergence_svg(
             f'stroke="{color}" stroke-width="1.5"/>'
         )
         parts.append(
-            f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" font-size="12">{label}</text>'
+            f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" '
+            f'font-size="12">{escape(label)}</text>'
         )
     parts.append("</svg>")
     path = Path(path)
@@ -526,24 +506,28 @@ def export_convergence_svg(
 
 
 def export_all(result: ExperimentResult, outdir: str | Path) -> list[Path]:
-    """Write runs.csv, aggregate.csv, ranking.csv and one SVG per problem."""
+    """Write runs.csv, aggregate.csv, ranking.csv and one SVG per problem.
+
+    SVG file names keep a problem name's letters, digits and "-_."; names
+    that map to the same file name get suffixes -2, -3, ... in plan order.
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written = [
         export_runs_csv(result, outdir / "runs.csv"),
         export_aggregate_csv(result, outdir / "aggregate.csv"),
     ]
-    if len(result.algorithms()) >= 2 and any(not c.failed for c in result.cells):
-        try:
-            ranking = rank_algorithms(result)
-        except ValueError:
-            ranking = None
-        if ranking is not None:
-            written.append(export_ranking_csv(ranking, outdir / "ranking.csv"))
+    if result.ranking is not None:
+        written.append(export_ranking_csv(result.ranking, outdir / "ranking.csv"))
+    stems: set[str] = set()
     for problem in result.problems():
-        cells = [c for c in result.cells if c.problem == problem]
-        if all(c.failed for c in cells):
+        if all(c.failed for c in result.cells if c.problem == problem):
             continue
-        safe = "".join(ch if ch.isalnum() or ch in "-_." else "_" for ch in problem)
-        written.append(export_convergence_svg(result, problem, outdir / f"{safe}.svg"))
+        safe = stem = "".join(ch if ch.isalnum() or ch in "-_." else "_" for ch in problem)
+        suffix = 1
+        while stem in stems:
+            suffix += 1
+            stem = f"{safe}-{suffix}"
+        stems.add(stem)
+        written.append(export_convergence_svg(result, problem, outdir / f"{stem}.svg"))
     return written

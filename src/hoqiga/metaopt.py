@@ -99,7 +99,7 @@ def tune(spec: TuningSpec) -> TuningResult:
         result = run_experiment(plan)
         failed = result.failures
         if failed:
-            raise ValueError(f"tuning suite problem failed to load: {failed[0].error}")
+            raise ValueError(f"tuning suite problem failed to load or run: {failed[0].error}")
         raw[c_idx] = [cell.mean for cell in result.cells]
 
     spans = raw.max(axis=0) - raw.min(axis=0)

@@ -63,29 +63,18 @@ class CnfFormula:
         return self.weights is not None
 
     @cached_property
-    def _packed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Padded literal matrix for vectorised evaluation.
+    def _packed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Literal matrix for vectorised evaluation.
 
-        Returns (var_index, negated, pad_mask, weight) arrays; padding slots
-        point at variable 0 and are masked out of the any() reduction.
+        Returns (var_index, negated, weight): the first two have shape
+        (width, clauses), so the OR over a clause runs along the short
+        leading axis.  Short clauses repeat their first literal, which leaves
+        the OR unchanged.
         """
         width = max(len(c) for c in self.clauses)
-        var = np.zeros((self.clause_count, width), dtype=np.int64)
-        neg = np.zeros((self.clause_count, width), dtype=bool)
-        pad = np.ones((self.clause_count, width), dtype=bool)
-        for i, clause in enumerate(self.clauses):
-            lits = np.array(clause, dtype=np.int64)
-            var[i, : len(clause)] = np.abs(lits) - 1
-            neg[i, : len(clause)] = lits < 0
-            pad[i, len(clause) :] = False
-        w = np.array(self.weights if self.weights is not None else [1.0] * self.clause_count)
-        return var, neg, pad, w
-
-    def satisfied_mask(self, bits: BitString) -> np.ndarray:
-        """Boolean satisfaction per clause for one assignment."""
-        var, neg, pad, _ = self._packed
-        truth = (np.asarray(bits, dtype=bool)[var] ^ neg) & pad
-        return truth.any(axis=1)
+        lits = np.array([c + c[:1] * (width - len(c)) for c in self.clauses]).T.copy()
+        w = np.ones(self.clause_count) if self.weights is None else np.array(self.weights)
+        return np.abs(lits) - 1, lits < 0, w
 
 
 def parse_dimacs(source: str | IO[str]) -> CnfFormula:
@@ -184,26 +173,41 @@ def to_dimacs(formula: CnfFormula) -> str:
 class FitnessFunction:
     """A pure objective over fixed-length bitstrings, maximised.
 
-    Subclasses implement __call__; batch() has a generic fallback and is
-    overridden where a vectorised form exists.
+    A subclass defines one evaluator and inherits the other form from it:
+
+    * ``batch(bits)`` over an array of shape ``(..., size)``, returning one
+      float64 per bitstring (a scalar for a single bitstring); ``__call__``
+      is then ``float(batch(bits))``.  The value for a bitstring must not
+      depend on the rows it is batched with, so ``batch(X)[i] == f(X[i])``
+      holds bitwise.
+    * or ``__call__(bits)`` over one bitstring; ``batch`` then loops over the
+      rows of a ``(k, size)`` array.
+
+    Defining neither is a TypeError at construction.
     """
 
     def __init__(self, size: int, optimum: float | None = None, name: str = ""):
         if size < 1:
             raise ValueError(f"problem size must be >= 1, got {size}")
+        cls = type(self)
+        if cls.__call__ is FitnessFunction.__call__ and cls.batch is FitnessFunction.batch:
+            raise TypeError(f"{cls.__name__} must define batch() or __call__()")
         self.size = size
         self.optimum = optimum
-        self.name = name or type(self).__name__
+        self.name = name or cls.__name__
 
     def __call__(self, bits: BitString) -> float:
-        raise NotImplementedError
+        return float(self.batch(bits))
 
     def batch(self, bits2d: np.ndarray) -> np.ndarray:
         return np.array([self(row) for row in bits2d])
 
-    def _check_length(self, bits: BitString) -> None:
-        if len(bits) != self.size:
-            raise ValueError(f"expected {self.size} bits, got {len(bits)}")
+    def _rows(self, bits: np.ndarray) -> np.ndarray:
+        """bits as an array whose last axis has the problem size."""
+        bits = np.asarray(bits)
+        if bits.ndim == 0 or bits.shape[-1] != self.size:
+            raise ValueError(f"expected {self.size} bits, got shape {bits.shape}")
+        return bits
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(size={self.size}, name={self.name!r})"
@@ -220,15 +224,12 @@ class MaxSat(FitnessFunction):
         )
         self.formula = formula
 
-    def __call__(self, bits: BitString) -> float:
-        self._check_length(bits)
-        _, _, _, w = self.formula._packed
-        return float(w @ self.formula.satisfied_mask(bits))
-
-    def batch(self, bits2d: np.ndarray) -> np.ndarray:
-        var, neg, pad, w = self.formula._packed
-        truth = (np.asarray(bits2d, dtype=bool)[:, var] ^ neg) & pad
-        return truth.any(axis=2) @ w
+    def batch(self, bits: np.ndarray) -> np.ndarray:
+        var, neg, w = self.formula._packed
+        # take() keeps every intermediate C-contiguous, so each row's weighted
+        # sum runs in the same order at any batch shape.
+        satisfied = (np.take(self._rows(bits), var, axis=-1) != neg).any(axis=-2)
+        return (satisfied * w).sum(axis=-1)
 
 
 def maxsat_fitness(formula: CnfFormula, bits: BitString) -> float:
@@ -242,12 +243,8 @@ class OneMax(FitnessFunction):
     def __init__(self, n: int):
         super().__init__(size=n, optimum=float(n), name=f"onemax-{n}")
 
-    def __call__(self, bits: BitString) -> float:
-        self._check_length(bits)
-        return float(np.count_nonzero(bits))
-
-    def batch(self, bits2d: np.ndarray) -> np.ndarray:
-        return np.count_nonzero(bits2d, axis=1).astype(np.float64)
+    def batch(self, bits: np.ndarray) -> np.ndarray:
+        return self._rows(bits).sum(axis=-1, dtype=np.float64)
 
 
 class PairTrap(FitnessFunction):
@@ -280,16 +277,11 @@ class PairTrap(FitnessFunction):
         # Indexed by pair value 00, 01, 10, 11.
         self.pair_scores = np.array([optimum_value, mixed_value, mixed_value, attractor_value])
 
-    def __call__(self, bits: BitString) -> float:
-        self._check_length(bits)
-        pairs = np.asarray(bits).reshape(self.pairs, 2)
-        groups = 2 * pairs[:, 0] + pairs[:, 1]
-        return float(self.pair_scores[groups].sum())
-
-    def batch(self, bits2d: np.ndarray) -> np.ndarray:
-        pairs = np.asarray(bits2d).reshape(len(bits2d), self.pairs, 2)
-        groups = 2 * pairs[:, :, 0] + pairs[:, :, 1]
-        return self.pair_scores[groups].sum(axis=1)
+    def batch(self, bits: np.ndarray) -> np.ndarray:
+        bits = self._rows(bits)
+        pairs = bits.reshape(*bits.shape[:-1], self.pairs, 2)
+        groups = 2 * pairs[..., 0] + pairs[..., 1]
+        return self.pair_scores[groups].sum(axis=-1)
 
 
 def onemax(n: int) -> FitnessFunction:

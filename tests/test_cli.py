@@ -75,6 +75,24 @@ class TestRunCommand:
         assert code == 2
         assert "cannot load" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--algo", "sga", "--maxfe", "150"),
+            ("--algo", "qiga2", "--maxfe", "5"),
+            ("--algo", "qiga2", "--mu", "1.5"),
+            ("--algo", "qiga1", "--mu", "0.9"),
+        ],
+    )
+    def test_bad_flag_values_are_usage_errors(self, capsys, argv):
+        code, _, err = invoke(capsys, "run", *argv, "--problem", "onemax:8")
+        assert code == 1
+        assert err.startswith("error: ")
+
+    def test_mu_default_comes_from_config(self, capsys):
+        args = ("run", "--algo", "qiga2", "--problem", "trap:3", "--maxfe", "300", "--seed", "5")
+        assert invoke(capsys, *args) == invoke(capsys, *args, "--mu", "0.9918")
+
     def test_trajectory_csv(self, capsys, tmp_path):
         out_path = tmp_path / "traj.csv"
         code, _, _ = invoke(
@@ -220,6 +238,29 @@ class TestBenchCommand:
         assert code == 3
         assert "failed: bad" in err
         assert (outdir / "runs.csv").exists()
+
+    def test_run_time_failure_fails_only_its_cell(self, capsys, tmp_path):
+        plan = json.loads(self.write_plan(tmp_path).read_text())
+        plan["problems"] = [
+            {"name": "om4", "source": "onemax:4"}, {"name": "t3", "source": "trap:3"},
+        ]
+        plan["algorithms"].append({"id": "qiga-r", "order": 6})
+        (tmp_path / "plan.json").write_text(json.dumps(plan))
+        outputs = []
+        for jobs in ("1", "2"):
+            outdir = tmp_path / f"out{jobs}"
+            code, _, err = invoke(
+                capsys, "bench", "--plan", str(tmp_path / "plan.json"),
+                "--outdir", str(outdir), "--jobs", jobs,
+            )
+            assert code == 3
+            assert "failed: om4 / qiga-r" in err
+            rows = list(csv.DictReader((outdir / "runs.csv").open()))
+            cells = {(r["problem"], r["algorithm"]) for r in rows}
+            assert len(rows) == 5 * 2
+            assert ("om4", "qiga-r") not in cells and ("t3", "qiga-r") in cells
+            outputs.append({p.name: p.read_bytes() for p in sorted(outdir.iterdir())})
+        assert outputs[0] == outputs[1]
 
     def test_missing_plan_usage_error(self, capsys):
         assert invoke(capsys, "bench", "--plan", "nope.json")[0] == 1

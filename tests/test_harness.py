@@ -2,6 +2,7 @@
 
 import csv
 import json
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -307,6 +308,24 @@ class TestExports:
         assert rows[0]["rank"] == "1"
         assert rows[0]["algorithm"] == "b"
         assert rows[0]["wins"] == "1"
+
+    def test_svg_well_formed_for_any_name(self, tmp_path):
+        names = ("a<b&c", "a>b&c")
+        plan = small_plan(
+            problems=tuple(ProblemSpec(name, "onemax:4") for name in names),
+            algorithms=(AlgorithmSpec("qiga2", (("quantum_population_size", 5),), "q<&>"),),
+            runs_per_cell=1,
+        )
+        written = export_all(run_experiment(plan), tmp_path)
+        svgs = [path for path in written if path.suffix == ".svg"]
+        assert len(set(svgs)) == 2
+        titles = []
+        for path in svgs:
+            svg = ElementTree.parse(path)
+            texts = [t.text for t in svg.iter("{http://www.w3.org/2000/svg}text")]
+            assert "q<&>" in texts
+            titles.append(texts[0])
+        assert titles == list(names)
 
     def test_export_all_with_failed_cell(self, tmp_path):
         plan = small_plan(

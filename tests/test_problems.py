@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import all_assignments, brute_force_satisfied
@@ -11,7 +11,9 @@ from hoqiga.core import RandomSource, bits_from_string
 from hoqiga.problems import (
     CnfFormula,
     DimacsParseError,
+    FitnessFunction,
     MaxSat,
+    OneMax,
     generate_uniform_3sat,
     load_problem,
     maxsat_fitness,
@@ -125,11 +127,13 @@ class TestMaxSatFitness:
         for bits in all_assignments(10):
             assert problem(bits) == brute_force_satisfied(formula, bits)
 
-    def test_batch_matches_single(self):
-        formula = generate_uniform_3sat(12, 50, RandomSource(8))
+    def test_mixed_clause_widths_match_oracle_exhaustively(self):
+        clauses = generate_uniform_3sat(8, 40, RandomSource(4)).clauses
+        formula = CnfFormula(8, tuple(c[: 1 + i % 3] for i, c in enumerate(clauses)))
         problem = MaxSat(formula)
-        rows = np.array([RandomSource(i).bits(12) for i in range(40)])
-        assert np.array_equal(problem.batch(rows), [problem(r) for r in rows])
+        assignments = np.array(list(all_assignments(8)))
+        expected = [brute_force_satisfied(formula, bits) for bits in assignments]
+        assert np.array_equal(problem.batch(assignments), expected)
 
 
 class TestSyntheticProblems:
@@ -175,10 +179,61 @@ class TestSyntheticProblems:
         with pytest.raises(ValueError):
             pair_trap(2, optimum_value=0.5, attractor_value=0.9)
 
-    def test_batch_matches_single(self):
-        problem = pair_trap(4)
-        rows = np.array([RandomSource(i).bits(8) for i in range(30)])
-        assert np.array_equal(problem.batch(rows), [problem(r) for r in rows])
+
+def _weighted_3sat(n_vars: int, clause_count: int, seed: int) -> CnfFormula:
+    rng = RandomSource(seed)
+    formula = generate_uniform_3sat(n_vars, clause_count, rng)
+    weights = tuple(0.1 + 10 * rng.uniforms(clause_count))
+    return CnfFormula(n_vars, formula.clauses, weights)
+
+
+BATCH_PROBLEMS = {
+    "onemax13": lambda: OneMax(13),
+    "trap4": lambda: pair_trap(4),
+    "trap9": lambda: pair_trap(9),
+    "cnf12": lambda: MaxSat(generate_uniform_3sat(12, 50, RandomSource(8))),
+    "cnf50": lambda: MaxSat(generate_uniform_3sat(50, 215, RandomSource(2))),
+    "wcnf50": lambda: MaxSat(_weighted_3sat(50, 215, 3)),
+}
+
+
+class TestOneEvaluator:
+    @given(
+        name=st.sampled_from(sorted(BATCH_PROBLEMS)),
+        first_seed=st.integers(0, 10**6),
+        rows=st.sampled_from([1, 2, 7, 30, 40, 200]),
+    )
+    @example(name="cnf12", first_seed=0, rows=40)
+    @example(name="trap4", first_seed=0, rows=30)
+    @example(name="wcnf50", first_seed=0, rows=200)
+    @settings(max_examples=60, deadline=None)
+    def test_batch_matches_single_bitwise(self, name, first_seed, rows):
+        problem = BATCH_PROBLEMS[name]()
+        bits = np.array([RandomSource(first_seed + i).bits(problem.size) for i in range(rows)])
+        values = problem.batch(bits)
+        assert values.dtype == np.float64
+        singles = np.array([problem(row) for row in bits])
+        assert values.tobytes() == singles.tobytes()
+
+    def test_scalar_only_subclass_gets_batch(self):
+        class Ones(FitnessFunction):
+            def __call__(self, bits):
+                return float(np.sum(bits))
+
+        rows = np.array([[0, 1, 1], [1, 1, 1]], dtype=np.uint8)
+        assert np.array_equal(Ones(3).batch(rows), [2.0, 3.0])
+
+    def test_subclass_without_evaluator_rejected(self):
+        class Empty(FitnessFunction):
+            pass
+
+        with pytest.raises(TypeError, match="must define batch"):
+            Empty(3)
+
+    def test_batch_rejects_length_mismatch(self):
+        problem = MaxSat(generate_uniform_3sat(12, 50, RandomSource(8)))
+        with pytest.raises(ValueError):
+            problem.batch(np.zeros((3, 13), dtype=np.uint8))
 
 
 class TestGenerate3Sat:
