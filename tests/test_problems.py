@@ -135,6 +135,12 @@ class TestMaxSatFitness:
         expected = [brute_force_satisfied(formula, bits) for bits in assignments]
         assert np.array_equal(problem.batch(assignments), expected)
 
+    def test_batch_matches_single(self):
+        formula = generate_uniform_3sat(12, 50, RandomSource(8))
+        problem = MaxSat(formula)
+        rows = np.array([RandomSource(i).bits(12) for i in range(40)])
+        assert np.array_equal(problem.batch(rows), [problem(r) for r in rows])
+
 
 class TestSyntheticProblems:
     def test_onemax_values(self):
@@ -178,6 +184,11 @@ class TestSyntheticProblems:
     def test_pair_trap_rejects_non_deceptive_values(self):
         with pytest.raises(ValueError):
             pair_trap(2, optimum_value=0.5, attractor_value=0.9)
+
+    def test_batch_matches_single(self):
+        problem = pair_trap(4)
+        rows = np.array([RandomSource(i).bits(8) for i in range(30)])
+        assert np.array_equal(problem.batch(rows), [problem(r) for r in rows])
 
 
 def _weighted_3sat(n_vars: int, clause_count: int, seed: int) -> CnfFormula:
