@@ -11,7 +11,9 @@
 
 All evolvers consume exactly the configured fitness-evaluation budget and
 record the best-so-far fitness at every evaluation, so runs with different
-generation sizes plot on a common axis.
+generation sizes plot on a common axis.  Each samples a whole generation at
+once, scores it with one problem.batch call and folds the scores in sample
+order, so draws and results match scoring one bitstring at a time.
 """
 
 from __future__ import annotations
@@ -174,7 +176,7 @@ class _BestTracker:
 
     Records the best-so-far fitness after each evaluation; ties keep the
     earliest individual, so the trajectory is nondecreasing and the winner is
-    the first to reach the top fitness.
+    the first to reach the top fitness.  A NaN fitness never becomes best.
     """
 
     def __init__(self, budget: int):
@@ -185,15 +187,22 @@ class _BestTracker:
         self.trajectory = np.empty(budget, dtype=np.float64)
 
     @property
-    def exhausted(self) -> bool:
-        return self.count >= self.budget
+    def remaining(self) -> int:
+        return self.budget - self.count
 
-    def record(self, bits: BitString, fitness: float) -> None:
-        if fitness > self.best_fitness:
-            self.best_fitness = fitness
-            self.best_bits = np.array(bits, dtype=np.uint8)
-        self.trajectory[self.count] = self.best_fitness
-        self.count += 1
+    def record(self, bits2d: np.ndarray, fitness: np.ndarray) -> None:
+        """Fold k evaluated rows in order; a row becomes best only if strictly fitter."""
+        values = np.concatenate(([self.best_fitness], np.asarray(fitness, dtype=np.float64)))
+        keys = np.where(np.isnan(values), -math.inf, values)
+        improves = keys[1:] > np.maximum.accumulate(keys)[:-1]
+        # holder[j]: position in values of the best after row j (0 = the previous best)
+        holder = np.maximum.accumulate(np.where(improves, np.arange(1, len(values)), 0))
+        end = self.count + len(holder)
+        self.trajectory[self.count : end] = values[holder]
+        self.count = end
+        if holder[-1]:
+            self.best_fitness = float(values[holder[-1]])
+            self.best_bits = np.array(bits2d[holder[-1] - 1], dtype=np.uint8)
 
     def result(self, generations: int) -> RunResult:
         assert self.best_bits is not None
@@ -278,20 +287,21 @@ class _PackedRegisters:
             amplitudes = np.full((pop_size, layout.count(block_order), dim), math.sqrt(1.0 / dim))
             self.blocks.append((np.arange(block_order - 1, -1, -1), amplitudes))
 
-    def observe(self, individual: int, rng: RandomSource) -> BitString:
-        """Sample one bitstring from one individual's registers."""
-        draws = rng.uniforms(self.registers_per_individual)
+    def observe(self, individuals: np.ndarray, rng: RandomSource) -> np.ndarray:
+        """Row i of a (k, n) array samples individuals[i]; draws as k observe_chromosome calls."""
+        k = len(individuals)
+        draws = rng.uniforms(k * self.registers_per_individual).reshape(k, -1)
         parts = []
         first = 0
         for shifts, amplitudes in self.blocks:
             count = amplitudes.shape[1]
-            probs = amplitudes[individual] ** 2
-            thresholds = np.cumsum(probs, axis=1)
-            values = np.sum(thresholds <= draws[first : first + count, None], axis=1)
-            np.minimum(values, probs.shape[1] - 1, out=values)
-            parts.append(((values[:, None] >> shifts) & 1).astype(np.uint8).ravel())
+            probs = amplitudes[individuals] ** 2
+            thresholds = np.cumsum(probs, axis=2)
+            values = np.sum(thresholds <= draws[:, first : first + count, None], axis=2)
+            np.minimum(values, probs.shape[2] - 1, out=values)
+            parts.append(((values[..., None] >> shifts) & 1).astype(np.uint8).reshape(k, -1))
             first += count
-        return np.concatenate(parts)
+        return np.concatenate(parts, axis=1)
 
     def contract(self, b: BitString, mu: float) -> None:
         """Contract every register of every individual toward b, in place."""
@@ -337,18 +347,14 @@ def qiga_evolve(
         )
     packed = _PackedRegisters(config.quantum_population_size, n, config.order)
     tracker = _BestTracker(config.max_fitness_evaluations)
+    sampled = np.repeat(np.arange(config.quantum_population_size), config.samples_per_individual)
     generations = 0
-    while not tracker.exhausted:
+    while tracker.remaining:
         generations += 1
-        for i in range(config.quantum_population_size):
-            for _ in range(config.samples_per_individual):
-                if tracker.exhausted:
-                    break
-                bits = packed.observe(i, rng)
-                tracker.record(bits, problem(bits))
-        if tracker.exhausted:
-            break
-        packed.contract(tracker.best_bits, config.contraction_factor)
+        bits = packed.observe(sampled[: tracker.remaining], rng)
+        tracker.record(bits, problem.batch(bits))
+        if tracker.remaining:
+            packed.contract(tracker.best_bits, config.contraction_factor)
     return tracker.result(generations)
 
 
@@ -369,27 +375,21 @@ def qiga1_evolve(
     state = np.full((pop, n, 2), math.sqrt(0.5))
     tracker = _BestTracker(config.max_fitness_evaluations)
     generations = 0
-    while not tracker.exhausted:
+    while tracker.remaining:
         generations += 1
-        observed: list[tuple[int, BitString, float]] = []
-        for i in range(pop):
-            if tracker.exhausted:
-                break
-            draws = rng.uniforms(n)
-            bits = (draws >= state[i, :, 0] ** 2).astype(np.uint8)
-            fitness = problem(bits)
-            tracker.record(bits, fitness)
-            observed.append((i, bits, fitness))
-        if tracker.exhausted:
+        k = min(pop, tracker.remaining)
+        draws = rng.uniforms(k * n).reshape(k, n)
+        bits = (draws >= state[:k, :, 0] ** 2).astype(np.uint8)
+        fitness = problem.batch(bits)
+        tracker.record(bits, fitness)
+        if not tracker.remaining:
             break
-        b = tracker.best_bits
-        for i, bits, fitness in observed:
-            delta = table[bits, b, int(fitness >= tracker.best_fitness)]
-            cos_d, sin_d = np.cos(delta), np.sin(delta)
-            alpha = state[i, :, 0].copy()
-            beta = state[i, :, 1].copy()
-            state[i, :, 0] = cos_d * alpha - sin_d * beta
-            state[i, :, 1] = sin_d * alpha + cos_d * beta
+        # Only a full generation gets here, so every individual rotates.
+        at_least_best = (np.asarray(fitness) >= tracker.best_fitness).astype(np.intp)
+        delta = table[bits, tracker.best_bits, at_least_best[:, None]]
+        cos_d, sin_d = np.cos(delta), np.sin(delta)
+        alpha, beta = state[..., 0], state[..., 1]
+        state[..., 0], state[..., 1] = cos_d * alpha - sin_d * beta, sin_d * alpha + cos_d * beta
         if eps > 0.0:
             _clamp_poles(state, eps)
     return tracker.result(generations)
@@ -422,14 +422,12 @@ def sga_evolve(
     tracker = _BestTracker(config.max_fitness_evaluations)
     population = rng.gen.integers(0, 2, size=(pop_size, n), dtype=np.uint8)
     generations = 0
-    while not tracker.exhausted:
+    while tracker.remaining:
         generations += 1
         fitnesses = problem.batch(population)
-        for i in range(pop_size):
-            if tracker.exhausted:
-                break
-            tracker.record(population[i], float(fitnesses[i]))
-        if tracker.exhausted:
+        k = min(pop_size, tracker.remaining)
+        tracker.record(population[:k], fitnesses[:k])
+        if not tracker.remaining:
             break
 
         selection = fitnesses.astype(np.float64, copy=True)

@@ -104,10 +104,10 @@ def _cmd_run(args) -> int:
     params = {"order": args.order, "mu": args.mu}
     spec = AlgorithmSpec(args.algo, {k: v for k, v in params.items() if v is not None})
     try:
-        spec.build(args.maxfe)
+        config = spec.build(args.maxfe)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    result = spec.run(problem, args.seed, args.maxfe)
+    result = spec.run(problem, args.seed, config)
 
     print(f"problem {problem.name} size {problem.size}")
     print(f"best_fitness {result.best_fitness!r}")

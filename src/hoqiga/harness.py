@@ -85,7 +85,8 @@ class AlgorithmSpec:
             if angle is not None:
                 params["rotation_table"] = tuple(default_rotation_table(angle).items())
             return Qiga1Config(max_fitness_evaluations=max_fitness_evaluations, **params)
-        population = params.get("population_size", SgaConfig.population_size)
+        # Validate the population before the budget is divided by it.
+        population = SgaConfig(**params).population_size
         generations, remainder = divmod(max_fitness_evaluations, population)
         if remainder or generations < 1:
             raise ValueError(
@@ -94,8 +95,8 @@ class AlgorithmSpec:
             )
         return SgaConfig(generations=generations, **params)
 
-    def run(self, problem: FitnessFunction, seed: int, max_fitness_evaluations: int) -> RunResult:
-        config = self.build(max_fitness_evaluations)
+    def run(self, problem: FitnessFunction, seed: int, config) -> RunResult:
+        """One seeded run of this spec's evolver with a config from build()."""
         return _EVOLVERS[self.id](problem, config, RandomSource(seed))
 
 
@@ -249,7 +250,7 @@ def _execute_run(task: tuple[AlgorithmSpec, FitnessFunction, int, int]) -> RunRe
     """One seeded run, or the error message that fails its cell."""
     algo, problem, seed, budget = task
     try:
-        result = algo.run(problem, seed, budget)
+        result = algo.run(problem, seed, algo.build(budget))
     except Exception as exc:  # isolated to its cell; bench reports it and exits 3
         logger.debug("run %s seed %d failed", algo.label, seed, exc_info=True)
         return str(exc)

@@ -5,9 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hoqiga.algorithms import (
     Qiga1Config,
+    _BestTracker,
+    _clamp_poles,
     QigaConfig,
     SgaConfig,
     contraction_update,
@@ -194,6 +198,9 @@ class TestQigaEvolve:
             (onemax(7), QigaConfig(order=3, quantum_population_size=4, max_fitness_evaluations=200)),
             (onemax(6), QigaConfig(order=2, quantum_population_size=3,
                                    samples_per_individual=2, max_fitness_evaluations=100)),
+            # 203 leaves a ragged final generation of 3 samples from individuals 0 and 1.
+            (pair_trap(4), QigaConfig(order=3, quantum_population_size=4,
+                                      samples_per_individual=2, max_fitness_evaluations=203)),
         ]
         for problem, config in cases:
             result = qiga_evolve(problem, config, RandomSource(31))
@@ -228,6 +235,20 @@ class TestQigaEvolve:
         result = qiga_evolve(problem, config, RandomSource(2))
         assert np.array_equal(result.best_bits, problem.calls[0])
         assert np.all(result.trajectory == result.trajectory[0])
+
+    def test_scalar_only_problem_sees_samples_in_order(self):
+        # A __call__-only problem is scored through the looping default
+        # batch(), one row per sample in the order the samples were drawn.
+        config = QigaConfig(order=2, quantum_population_size=4,
+                            samples_per_individual=2, max_fitness_evaluations=203)
+        problem = RecordingProblem(pair_trap(4))
+        result = qiga_evolve(problem, config, RandomSource(12))
+        reference = RecordingProblem(pair_trap(4))
+        reference_qiga_evolve(reference, config, RandomSource(12))
+        assert len(problem.calls) == 203
+        assert np.array_equal(np.array(problem.calls), np.array(reference.calls))
+        fitness = [problem.inner(bits) for bits in problem.calls]
+        assert np.array_equal(result.best_bits, problem.calls[int(np.argmax(fitness))])
 
     def test_best_sampling_probability_increases(self):
         # Contracting toward a fixed best strictly grows its amplitude until
@@ -274,7 +295,72 @@ class TestQigaEvolve:
             QigaConfig(max_fitness_evaluations=5)
 
 
+def reference_qiga1_evolve(problem, config, rng):
+    """The rotation-gate baseline one individual at a time."""
+    n, pop = problem.size, config.quantum_population_size
+    table = config.table_array()
+    state = np.full((pop, n, 2), math.sqrt(0.5))
+    best_bits, best_fitness = None, -math.inf
+    trajectory = []
+    while len(trajectory) < config.max_fitness_evaluations:
+        observed = []
+        for i in range(pop):
+            if len(trajectory) >= config.max_fitness_evaluations:
+                break
+            bits = (rng.uniforms(n) >= state[i, :, 0] ** 2).astype(np.uint8)
+            fitness = problem(bits)
+            if fitness > best_fitness:
+                best_fitness, best_bits = fitness, bits.copy()
+            trajectory.append(best_fitness)
+            observed.append((i, bits, fitness))
+        if len(trajectory) >= config.max_fitness_evaluations:
+            break
+        for i, bits, fitness in observed:
+            delta = table[bits, best_bits, int(fitness >= best_fitness)]
+            cos_d, sin_d = np.cos(delta), np.sin(delta)
+            alpha = state[i, :, 0].copy()
+            beta = state[i, :, 1].copy()
+            state[i, :, 0] = cos_d * alpha - sin_d * beta
+            state[i, :, 1] = sin_d * alpha + cos_d * beta
+        if config.epsilon_guard > 0.0:
+            _clamp_poles(state, config.epsilon_guard)
+    return best_bits, best_fitness, np.array(trajectory)
+
+
 class TestQiga1Evolve:
+    def test_matches_per_individual_loop(self):
+        steep = {k: 8 * v for k, v in default_rotation_table().items()}
+        distinct = {k: 0.01 * (1 + k[0] + 2 * k[1] + 4 * k[2]) for k in default_rotation_table()}
+        cases = [
+            (onemax(9), Qiga1Config(max_fitness_evaluations=300)),
+            (pair_trap(5), Qiga1Config(quantum_population_size=7, max_fitness_evaluations=200)),
+            (onemax(12), Qiga1Config.with_table(steep, epsilon_guard=0.0,
+                                                quantum_population_size=6,
+                                                max_fitness_evaluations=250)),
+            (pair_trap(3), Qiga1Config.with_table(distinct, quantum_population_size=4,
+                                                  max_fitness_evaluations=203)),
+        ]
+        for problem, config in cases:
+            for seed in (0, 7, 31):
+                result = qiga1_evolve(problem, config, RandomSource(seed))
+                ref_bits, ref_fitness, ref_trajectory = reference_qiga1_evolve(
+                    problem, config, RandomSource(seed)
+                )
+                assert result.best_fitness == ref_fitness
+                assert np.array_equal(result.best_bits, ref_bits)
+                assert result.trajectory.tobytes() == ref_trajectory.tobytes()
+
+    def test_scalar_only_problem_sees_samples_in_order(self):
+        config = Qiga1Config(quantum_population_size=6, max_fitness_evaluations=203)
+        problem = RecordingProblem(pair_trap(4))
+        result = qiga1_evolve(problem, config, RandomSource(4))
+        reference = RecordingProblem(pair_trap(4))
+        reference_qiga1_evolve(reference, config, RandomSource(4))
+        assert len(problem.calls) == 203
+        assert np.array_equal(np.array(problem.calls), np.array(reference.calls))
+        fitness = [problem.inner(bits) for bits in problem.calls]
+        assert np.array_equal(result.best_bits, problem.calls[int(np.argmax(fitness))])
+
     def test_rotation_preserves_norm(self):
         config = Qiga1Config(max_fitness_evaluations=300)
         # Indirect check: a long run ends without tripping any normalization
@@ -430,6 +516,42 @@ class TestSeparabilityInvariant:
             "the separability claim does not hold at these defaults "
             "(see README, Tests section, for the mechanism)"
         )
+
+
+FOLD_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.5, -math.inf, math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+class TestBestTracker:
+    @given(
+        values=st.lists(FOLD_VALUES, min_size=1, max_size=60),
+        cuts=st.lists(st.integers(1, 60), max_size=60),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_chunked_record_matches_sequential_fold(self, values, cuts):
+        best, best_row, trajectory = -math.inf, None, []
+        for row, value in enumerate(values):
+            if value > best:
+                best, best_row = value, row
+            trajectory.append(best)
+
+        tracker = _BestTracker(len(values))
+        rows = np.arange(len(values), dtype=np.uint8)[:, None]
+        start = 0
+        for size in cuts + [len(values)]:
+            stop = min(start + size, len(values))
+            if stop > start:
+                tracker.record(rows[start:stop], np.array(values[start:stop]))
+            start = stop
+        assert tracker.count == len(values)
+        assert tracker.trajectory.tobytes() == np.array(trajectory, dtype=np.float64).tobytes()
+        if best_row is None:
+            assert tracker.best_bits is None
+        else:
+            assert tracker.best_bits[0] == best_row
+            assert np.float64(tracker.best_fitness).tobytes() == np.float64(best).tobytes()
 
 
 class TestBudgetParityAcrossEvolvers:

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from hoqiga.cli import main
+from hoqiga.harness import AlgorithmSpec
 from hoqiga.problems import parse_dimacs
 
 
@@ -88,6 +89,17 @@ class TestRunCommand:
         code, _, err = invoke(capsys, "run", *argv, "--problem", "onemax:8")
         assert code == 1
         assert err.startswith("error: ")
+
+    def test_config_built_once(self, capsys, monkeypatch):
+        built = []
+        build = AlgorithmSpec.build
+        monkeypatch.setattr(
+            AlgorithmSpec, "build", lambda spec, budget: built.append(budget) or build(spec, budget)
+        )
+        code, _, _ = invoke(capsys, "run", "--algo", "qiga1", "--problem", "onemax:6",
+                            "--maxfe", "120", "--seed", "2")
+        assert code == 0
+        assert built == [120]
 
     def test_mu_default_comes_from_config(self, capsys):
         args = ("run", "--algo", "qiga2", "--problem", "trap:3", "--maxfe", "300", "--seed", "5")
@@ -261,6 +273,21 @@ class TestBenchCommand:
             assert ("om4", "qiga-r") not in cells and ("t3", "qiga-r") in cells
             outputs.append({p.name: p.read_bytes() for p in sorted(outdir.iterdir())})
         assert outputs[0] == outputs[1]
+
+    def test_invalid_sga_population_fails_only_its_cell(self, capsys, tmp_path):
+        plan = json.loads(self.write_plan(tmp_path).read_text())
+        plan["algorithms"].append({"id": "sga", "population_size": 0, "label": "sga-empty"})
+        (tmp_path / "plan.json").write_text(json.dumps(plan))
+        outdir = tmp_path / "out"
+        code, _, err = invoke(
+            capsys, "bench", "--plan", str(tmp_path / "plan.json"), "--outdir", str(outdir)
+        )
+        assert code == 3
+        assert "failed: om6 / sga-empty" in err
+        assert "population size must be even" in err
+        rows = list(csv.DictReader((outdir / "runs.csv").open()))
+        assert len(rows) == 2 * 2 * 2
+        assert "sga-empty" not in {r["algorithm"] for r in rows}
 
     def test_missing_plan_usage_error(self, capsys):
         assert invoke(capsys, "bench", "--plan", "nope.json")[0] == 1

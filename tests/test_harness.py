@@ -93,6 +93,11 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="whole number"):
             AlgorithmSpec("sga").build(5050)
 
+    @pytest.mark.parametrize("population", [0, 7])
+    def test_sga_population_validated_before_budget(self, population):
+        with pytest.raises(ValueError, match="population size must be even"):
+            AlgorithmSpec("sga", {"population_size": population}).build(100)
+
     def test_from_json(self):
         doc = {
             "runs": 4,
