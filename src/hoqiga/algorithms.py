@@ -11,9 +11,9 @@
 
 All evolvers consume exactly the configured fitness-evaluation budget and
 record the best-so-far fitness at every evaluation, so runs with different
-generation sizes plot on a common axis.  Each samples a whole generation at
-once, scores it with one problem.batch call and folds the scores in sample
-order, so draws and results match scoring one bitstring at a time.
+generation sizes plot on a common axis.  Each draws a whole generation at
+once and folds its scores in sample order, so results match sampling one
+bitstring at a time; qiga and qiga1 score each row with one problem call.
 """
 
 from __future__ import annotations
@@ -190,19 +190,13 @@ class _BestTracker:
     def remaining(self) -> int:
         return self.budget - self.count
 
-    def record(self, bits2d: np.ndarray, fitness: np.ndarray) -> None:
+    def record(self, bits2d: np.ndarray, fitness) -> None:
         """Fold k evaluated rows in order; a row becomes best only if strictly fitter."""
-        values = np.concatenate(([self.best_fitness], np.asarray(fitness, dtype=np.float64)))
-        keys = np.where(np.isnan(values), -math.inf, values)
-        improves = keys[1:] > np.maximum.accumulate(keys)[:-1]
-        # holder[j]: position in values of the best after row j (0 = the previous best)
-        holder = np.maximum.accumulate(np.where(improves, np.arange(1, len(values)), 0))
-        end = self.count + len(holder)
-        self.trajectory[self.count : end] = values[holder]
-        self.count = end
-        if holder[-1]:
-            self.best_fitness = float(values[holder[-1]])
-            self.best_bits = np.array(bits2d[holder[-1] - 1], dtype=np.uint8)
+        for row, value in enumerate(np.asarray(fitness, dtype=np.float64).tolist()):
+            if value > self.best_fitness:
+                self.best_fitness, self.best_bits = value, np.array(bits2d[row], dtype=np.uint8)
+            self.trajectory[self.count] = self.best_fitness
+            self.count += 1
 
     def result(self, generations: int) -> RunResult:
         assert self.best_bits is not None
@@ -278,6 +272,8 @@ class _PackedRegisters:
     observe_chromosome.
     """
 
+    OBSERVE_CHUNK = 1 << 16  # most amplitudes gathered per observe step; a larger row goes alone
+
     def __init__(self, pop_size: int, n_bits: int, order: int):
         layout = chromosome_layout(n_bits, order)
         self.registers_per_individual = len(layout)
@@ -286,20 +282,25 @@ class _PackedRegisters:
             dim = 2**block_order
             amplitudes = np.full((pop_size, layout.count(block_order), dim), math.sqrt(1.0 / dim))
             self.blocks.append((np.arange(block_order - 1, -1, -1), amplitudes))
+        self.chunk = max(1, self.OBSERVE_CHUNK // sum(a[0].size for _, a in self.blocks))
 
     def observe(self, individuals: np.ndarray, rng: RandomSource) -> np.ndarray:
         """Row i of a (k, n) array samples individuals[i]; draws as k observe_chromosome calls."""
         k = len(individuals)
         draws = rng.uniforms(k * self.registers_per_individual).reshape(k, -1)
+        steps = [slice(i, i + self.chunk) for i in range(0, k, self.chunk)]
+        return np.concatenate([self._observe_rows(individuals[s], draws[s]) for s in steps])
+
+    def _observe_rows(self, individuals: np.ndarray, draws: np.ndarray) -> np.ndarray:
         parts = []
         first = 0
         for shifts, amplitudes in self.blocks:
             count = amplitudes.shape[1]
-            probs = amplitudes[individuals] ** 2
-            thresholds = np.cumsum(probs, axis=2)
+            thresholds = np.cumsum(amplitudes[individuals] ** 2, axis=2)
             values = np.sum(thresholds <= draws[:, first : first + count, None], axis=2)
-            np.minimum(values, probs.shape[2] - 1, out=values)
-            parts.append(((values[..., None] >> shifts) & 1).astype(np.uint8).reshape(k, -1))
+            np.minimum(values, thresholds.shape[2] - 1, out=values)
+            bits = ((values[..., None] >> shifts) & 1).astype(np.uint8)
+            parts.append(bits.reshape(len(draws), -1))
             first += count
         return np.concatenate(parts, axis=1)
 
@@ -352,7 +353,7 @@ def qiga_evolve(
     while tracker.remaining:
         generations += 1
         bits = packed.observe(sampled[: tracker.remaining], rng)
-        tracker.record(bits, problem.batch(bits))
+        tracker.record(bits, [problem(row) for row in bits])
         if tracker.remaining:
             packed.contract(tracker.best_bits, config.contraction_factor)
     return tracker.result(generations)
@@ -380,12 +381,12 @@ def qiga1_evolve(
         k = min(pop, tracker.remaining)
         draws = rng.uniforms(k * n).reshape(k, n)
         bits = (draws >= state[:k, :, 0] ** 2).astype(np.uint8)
-        fitness = problem.batch(bits)
+        fitness = np.array([problem(row) for row in bits])
         tracker.record(bits, fitness)
         if not tracker.remaining:
             break
         # Only a full generation gets here, so every individual rotates.
-        at_least_best = (np.asarray(fitness) >= tracker.best_fitness).astype(np.intp)
+        at_least_best = (fitness >= tracker.best_fitness).astype(np.intp)
         delta = table[bits, tracker.best_bits, at_least_best[:, None]]
         cos_d, sin_d = np.cos(delta), np.sin(delta)
         alpha, beta = state[..., 0], state[..., 1]

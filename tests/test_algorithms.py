@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hoqiga.algorithms import (
     Qiga1Config,
     _BestTracker,
+    _PackedRegisters,
     _clamp_poles,
     QigaConfig,
     SgaConfig,
@@ -236,9 +237,22 @@ class TestQigaEvolve:
         assert np.array_equal(result.best_bits, problem.calls[0])
         assert np.all(result.trajectory == result.trajectory[0])
 
+    @pytest.mark.parametrize("rows_per_step", [1, 3])
+    def test_observe_steps_do_not_change_results(self, monkeypatch, rows_per_step):
+        # 12 bits in four order-3 registers: 32 amplitudes per row, so the
+        # default observes a whole generation of 8 rows in one step.
+        problem = pair_trap(6)
+        config = QigaConfig(order=3, quantum_population_size=4,
+                            samples_per_individual=2, max_fitness_evaluations=203)
+        whole = qiga_evolve(problem, config, RandomSource(5))
+        monkeypatch.setattr(_PackedRegisters, "OBSERVE_CHUNK", rows_per_step * 32)
+        stepped = qiga_evolve(problem, config, RandomSource(5))
+        assert np.array_equal(stepped.best_bits, whole.best_bits)
+        assert stepped.trajectory.tobytes() == whole.trajectory.tobytes()
+
     def test_scalar_only_problem_sees_samples_in_order(self):
-        # A __call__-only problem is scored through the looping default
-        # batch(), one row per sample in the order the samples were drawn.
+        # A __call__-only problem is scored one row per sample, in the order
+        # the samples were drawn.
         config = QigaConfig(order=2, quantum_population_size=4,
                             samples_per_individual=2, max_fitness_evaluations=203)
         problem = RecordingProblem(pair_trap(4))
