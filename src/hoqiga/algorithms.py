@@ -3,9 +3,11 @@
 * qiga_evolve: order-r contraction search.  Registers are observed to sample
   classical individuals; after each generation every non-best amplitude is
   scaled by the contraction factor and the amplitude matching the best-so-far
-  individual absorbs the freed probability mass.
+  individual absorbs the freed probability mass.  The quantum population
+  stays identical, so qiga keeps one chromosome and its two population
+  knobs only set the generation size.
 * qiga1_evolve: the classic order-1 baseline with per-qubit rotation gates
-  driven by a lookup table.
+  driven by a lookup table; each quantum individual keeps its own state.
 * sga_evolve: generational GA with roulette selection, single-point crossover
   and per-bit mutation.
 
@@ -190,6 +192,13 @@ class _BestTracker:
     def remaining(self) -> int:
         return self.budget - self.count
 
+    @property
+    def best(self) -> BitString:
+        """The best bits so far; ValueError when no fitness has beaten -inf."""
+        if self.best_bits is None:
+            raise ValueError(f"no fitness above -inf in {self.count} evaluations (all NaN or -inf)")
+        return self.best_bits
+
     def record(self, bits2d: np.ndarray, fitness) -> None:
         """Fold k evaluated rows in order; a row becomes best only if strictly fitter."""
         for row, value in enumerate(np.asarray(fitness, dtype=np.float64).tolist()):
@@ -199,9 +208,8 @@ class _BestTracker:
             self.count += 1
 
     def result(self, generations: int) -> RunResult:
-        assert self.best_bits is not None
         return RunResult(
-            best_bits=self.best_bits,
+            best_bits=self.best,
             best_fitness=self.best_fitness,
             trajectory=self.trajectory[: self.count],
             evaluations=self.count,
@@ -260,65 +268,61 @@ def update_quantum_population(
 
 
 class _PackedRegisters:
-    """The quantum population as dense amplitude arrays.
+    """qiga's quantum chromosome as dense amplitude arrays.
 
-    `blocks` holds one (shifts, amplitudes) pair per run of equal-order
-    registers in chromosome_layout: the full-order registers, then the
-    shorter final register if the order does not divide the gene count.
-    amplitudes has shape (population, count, 2**order); shifts are the bit
-    shifts that expand a register value, high bit first.  All operations
-    here are float-identical to the per-register public operations, and the
-    observation draws consume the random stream exactly like
-    observe_chromosome.
+    One chromosome stands for the whole quantum population, which starts
+    uniform and is contracted toward one best by one factor, so it stays
+    identical.  `blocks` holds one (shifts, amplitudes) pair per run of
+    equal-order registers in chromosome_layout: the full-order registers,
+    then the shorter final register if the order does not divide the gene
+    count.  amplitudes has shape (count, 2**order); shifts expand a register
+    value to bits, high bit first.  All operations here are float-identical
+    to the per-register public operations, and the observation draws
+    consume the random stream exactly like observe_chromosome.
     """
 
-    OBSERVE_CHUNK = 1 << 16  # most amplitudes gathered per observe step; a larger row goes alone
+    OBSERVE_CHUNK = 1 << 16  # most thresholds compared per observe step; a larger row goes alone
 
-    def __init__(self, pop_size: int, n_bits: int, order: int):
+    def __init__(self, n_bits: int, order: int):
         layout = chromosome_layout(n_bits, order)
         self.registers_per_individual = len(layout)
         self.blocks = []
         for block_order in dict.fromkeys(layout):
             dim = 2**block_order
-            amplitudes = np.full((pop_size, layout.count(block_order), dim), math.sqrt(1.0 / dim))
+            amplitudes = np.full((layout.count(block_order), dim), math.sqrt(1.0 / dim))
             self.blocks.append((np.arange(block_order - 1, -1, -1), amplitudes))
-        self.chunk = max(1, self.OBSERVE_CHUNK // sum(a[0].size for _, a in self.blocks))
+        self.chunk = max(1, self.OBSERVE_CHUNK // sum(a.size for _, a in self.blocks))
 
-    def observe(self, individuals: np.ndarray, rng: RandomSource) -> np.ndarray:
-        """Row i of a (k, n) array samples individuals[i]; draws as k observe_chromosome calls."""
-        k = len(individuals)
-        draws = rng.uniforms(k * self.registers_per_individual).reshape(k, -1)
-        steps = [slice(i, i + self.chunk) for i in range(0, k, self.chunk)]
-        return np.concatenate([self._observe_rows(individuals[s], draws[s]) for s in steps])
-
-    def _observe_rows(self, individuals: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    def observe(self, k: int, rng: RandomSource) -> np.ndarray:
+        """A (k, n) array of samples; draws as k observe_chromosome calls."""
+        draws = rng.uniforms(k * self.registers_per_individual).reshape(k, -1, 1)
+        steps = range(0, k, self.chunk)
         parts = []
         first = 0
         for shifts, amplitudes in self.blocks:
-            count = amplitudes.shape[1]
-            thresholds = np.cumsum(amplitudes[individuals] ** 2, axis=2)
-            values = np.sum(thresholds <= draws[:, first : first + count, None], axis=2)
-            np.minimum(values, thresholds.shape[2] - 1, out=values)
-            bits = ((values[..., None] >> shifts) & 1).astype(np.uint8)
-            parts.append(bits.reshape(len(draws), -1))
-            first += count
+            thresholds = np.cumsum(amplitudes**2, axis=1)
+            block_draws = draws[:, first : first + len(amplitudes)]
+            values = np.concatenate(
+                [np.sum(thresholds <= block_draws[i : i + self.chunk], axis=2) for i in steps]
+            )
+            np.minimum(values, thresholds.shape[1] - 1, out=values)
+            parts.append(((values[..., None] >> shifts) & 1).astype(np.uint8).reshape(k, -1))
+            first += len(amplitudes)
         return np.concatenate(parts, axis=1)
 
     def contract(self, b: BitString, mu: float) -> None:
-        """Contract every register of every individual toward b, in place."""
+        """Contract every register toward b, in place."""
         pos = 0
         for shifts, amplitudes in self.blocks:
-            count, order = amplitudes.shape[1], len(shifts)
+            count, order = len(amplitudes), len(shifts)
+            rows = np.arange(count)
             groups = b[pos : pos + count * order].reshape(count, order) @ (1 << shifts)
             pos += count * order
-            idx = groups.astype(np.int64)[None, :, None]
             amplitudes *= mu
             squares = amplitudes**2
-            others = squares.sum(axis=2) - np.take_along_axis(squares, idx, axis=2)[:, :, 0]
-            np.put_along_axis(
-                amplitudes, idx, np.sqrt(np.maximum(0.0, 1.0 - others))[:, :, None], axis=2
-            )
-            norm2 = (amplitudes**2).sum(axis=2)
+            others = squares.sum(axis=1) - squares[rows, groups]
+            amplitudes[rows, groups] = np.sqrt(np.maximum(0.0, 1.0 - others))
+            norm2 = (amplitudes**2).sum(axis=1)
             drift = np.abs(norm2 - 1.0) > RENORM_TRIGGER
             if drift.any():
                 amplitudes[drift] /= np.sqrt(norm2[drift])[:, None]
@@ -336,9 +340,10 @@ def qiga_evolve(
 ) -> RunResult:
     """Order-r contraction search under a fixed fitness-evaluation budget.
 
-    Starts from uniform registers, samples `samples_per_individual` strings
-    per quantum individual each generation, folds them into the global best
-    b, then contracts every register toward b's group values.
+    Starts from uniform registers, samples a generation of
+    quantum_population_size * samples_per_individual strings from one
+    chromosome (the quantum individuals would all stay identical), folds them
+    into the global best b, then contracts every register toward b's groups.
     """
     n = _check_problem(problem)
     if config.order > n:
@@ -346,16 +351,16 @@ def qiga_evolve(
             f"order must satisfy 1 <= order <= problem size, got order={config.order} "
             f"for {n} genes"
         )
-    packed = _PackedRegisters(config.quantum_population_size, n, config.order)
+    packed = _PackedRegisters(n, config.order)
     tracker = _BestTracker(config.max_fitness_evaluations)
-    sampled = np.repeat(np.arange(config.quantum_population_size), config.samples_per_individual)
+    per_generation = config.quantum_population_size * config.samples_per_individual
     generations = 0
     while tracker.remaining:
         generations += 1
-        bits = packed.observe(sampled[: tracker.remaining], rng)
+        bits = packed.observe(min(per_generation, tracker.remaining), rng)
         tracker.record(bits, [problem(row) for row in bits])
         if tracker.remaining:
-            packed.contract(tracker.best_bits, config.contraction_factor)
+            packed.contract(tracker.best, config.contraction_factor)
     return tracker.result(generations)
 
 
@@ -387,7 +392,7 @@ def qiga1_evolve(
             break
         # Only a full generation gets here, so every individual rotates.
         at_least_best = (fitness >= tracker.best_fitness).astype(np.intp)
-        delta = table[bits, tracker.best_bits, at_least_best[:, None]]
+        delta = table[bits, tracker.best, at_least_best[:, None]]
         cos_d, sin_d = np.cos(delta), np.sin(delta)
         alpha, beta = state[..., 0], state[..., 1]
         state[..., 0], state[..., 1] = cos_d * alpha - sin_d * beta, sin_d * alpha + cos_d * beta

@@ -56,6 +56,17 @@ class NegatedOneMax(FitnessFunction):
         return -np.count_nonzero(bits2d, axis=1).astype(float)
 
 
+class ConstantBatchProblem(FitnessFunction):
+    """Scores every row the same, e.g. NaN or -inf, through batch."""
+
+    def __init__(self, size, value):
+        super().__init__(size=size, name="constant-batch")
+        self.value = value
+
+    def batch(self, bits):
+        return np.full(np.shape(bits)[:-1], self.value)
+
+
 class RecordingProblem(FitnessFunction):
     """Wraps another problem and logs every evaluated bitstring."""
 
@@ -239,8 +250,8 @@ class TestQigaEvolve:
 
     @pytest.mark.parametrize("rows_per_step", [1, 3])
     def test_observe_steps_do_not_change_results(self, monkeypatch, rows_per_step):
-        # 12 bits in four order-3 registers: 32 amplitudes per row, so the
-        # default observes a whole generation of 8 rows in one step.
+        # 12 bits in four order-3 registers: 32 thresholds compared per row,
+        # so the default compares a whole generation of 8 rows in one step.
         problem = pair_trap(6)
         config = QigaConfig(order=3, quantum_population_size=4,
                             samples_per_individual=2, max_fitness_evaluations=203)
@@ -249,6 +260,24 @@ class TestQigaEvolve:
         stepped = qiga_evolve(problem, config, RandomSource(5))
         assert np.array_equal(stepped.best_bits, whole.best_bits)
         assert stepped.trajectory.tobytes() == whole.trajectory.tobytes()
+
+    @pytest.mark.parametrize("problem", [pair_trap(4), onemax(7)], ids=["trap", "onemax"])
+    def test_results_depend_only_on_generation_size(self, problem):
+        # Every quantum individual is contracted toward the same best by the
+        # same factor, so they stay identical: only pop * samples matters.
+        for budget in (120, 203):
+            for seed in (0, 1, 2):
+                results = [
+                    qiga_evolve(problem, QigaConfig(
+                        order=3, quantum_population_size=pop, samples_per_individual=spi,
+                        max_fitness_evaluations=budget,
+                    ), RandomSource(seed))
+                    for pop, spi in ((6, 1), (3, 2), (2, 3), (1, 6))
+                ]
+                for result in results[1:]:
+                    assert result.best_bits.tobytes() == results[0].best_bits.tobytes()
+                    assert result.best_fitness == results[0].best_fitness
+                    assert result.trajectory.tobytes() == results[0].trajectory.tobytes()
 
     def test_scalar_only_problem_sees_samples_in_order(self):
         # A __call__-only problem is scored one row per sample, in the order
@@ -566,6 +595,23 @@ class TestBestTracker:
         else:
             assert tracker.best_bits[0] == best_row
             assert np.float64(tracker.best_fitness).tobytes() == np.float64(best).tobytes()
+
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    @pytest.mark.parametrize(
+        "evolve, config",
+        [(qiga_evolve, QigaConfig(max_fitness_evaluations=20)),
+         (qiga1_evolve, Qiga1Config(max_fitness_evaluations=20))],
+        ids=["qiga", "qiga1"],
+    )
+    def test_no_best_after_first_generation_names_the_cause(self, evolve, config, value):
+        with pytest.raises(ValueError, match=r"no fitness above -inf in 10 evaluations"):
+            evolve(ConstantBatchProblem(6, value), config, RandomSource(0))
+
+    def test_result_without_best_raises(self):
+        tracker = _BestTracker(2)
+        tracker.record(np.zeros((2, 3), dtype=np.uint8), [math.nan, -math.inf])
+        with pytest.raises(ValueError, match="all NaN or -inf"):
+            tracker.result(1)
 
 
 class TestBudgetParityAcrossEvolvers:

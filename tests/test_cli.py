@@ -3,11 +3,23 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
+import hoqiga.harness
 from hoqiga.cli import main
 from hoqiga.harness import AlgorithmSpec
-from hoqiga.problems import parse_dimacs
+from hoqiga.problems import FitnessFunction, parse_dimacs
+
+
+class NanProblem(FitnessFunction):
+    """Every bitstring scores NaN, so no run ever finds a best individual."""
+
+    def __init__(self, size):
+        super().__init__(size=size, name="nan")
+
+    def batch(self, bits):
+        return np.full(np.shape(bits)[:-1], np.nan)
 
 
 def invoke(capsys, *argv):
@@ -273,6 +285,29 @@ class TestBenchCommand:
             assert ("om4", "qiga-r") not in cells and ("t3", "qiga-r") in cells
             outputs.append({p.name: p.read_bytes() for p in sorted(outdir.iterdir())})
         assert outputs[0] == outputs[1]
+
+    def test_problem_without_best_fails_only_its_cells(self, capsys, tmp_path, monkeypatch):
+        real_load = hoqiga.harness.load_problem
+        monkeypatch.setattr(
+            hoqiga.harness, "load_problem",
+            lambda source, name="": NanProblem(6) if source == "nan:6" else real_load(source, name),
+        )
+        plan = json.loads(self.write_plan(tmp_path).read_text())
+        plan["problems"].append({"name": "nan6", "source": "nan:6"})
+        plan["algorithms"] = [{"id": "qiga2", "quantum_population_size": 5}, {"id": "qiga1"}]
+        (tmp_path / "plan.json").write_text(json.dumps(plan))
+        for jobs in ("1", "2"):
+            outdir = tmp_path / f"out{jobs}"
+            code, _, err = invoke(
+                capsys, "bench", "--plan", str(tmp_path / "plan.json"),
+                "--outdir", str(outdir), "--jobs", jobs,
+            )
+            assert code == 3
+            for algo in ("qiga2", "qiga1"):
+                assert f"failed: nan6 / {algo}: no fitness above -inf" in err
+            rows = list(csv.DictReader((outdir / "runs.csv").open()))
+            assert len(rows) == 2 * 2 * 2
+            assert "nan6" not in {r["problem"] for r in rows}
 
     def test_invalid_sga_population_fails_only_its_cell(self, capsys, tmp_path):
         plan = json.loads(self.write_plan(tmp_path).read_text())
