@@ -421,7 +421,9 @@ def sga_evolve(
 
     Roulette needs nonnegative fitness; a generation containing negatives is
     shifted up for selection only, and an all-zero generation falls back to
-    uniform selection.  Both fallbacks are logged, never fatal.
+    uniform selection.  Both fallbacks are logged, never fatal.  A generation
+    that must select and holds a non-finite score (NaN, inf or -inf) raises a
+    ValueError that names the cause.
     """
     n = _check_problem(problem)
     pop_size = config.population_size
@@ -436,6 +438,11 @@ def sga_evolve(
         if not tracker.remaining:
             break
 
+        if not np.isfinite(fitnesses).all():
+            raise ValueError(
+                f"generation {generations}: non-finite fitness (NaN, inf or -inf) "
+                "cannot weight roulette selection"
+            )
         selection = fitnesses.astype(np.float64, copy=True)
         low = selection.min()
         if low < 0:

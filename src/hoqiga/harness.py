@@ -246,20 +246,21 @@ class ExperimentResult:
             return None
 
 
-def _execute_run(task: tuple[AlgorithmSpec, FitnessFunction, int, int]) -> RunRecord | str:
-    """One seeded run, or the error message that fails its cell."""
-    algo, problem, seed, budget = task
+def _execute_chunk(task: tuple[AlgorithmSpec, FitnessFunction, range, int]) -> list | str:
+    """The RunRecords of one chunk of a cell's seeds, or the error that fails its cell.
+
+    The chunk, a contiguous seed range, is the unit of dispatch: its problem is pickled
+    once, its config built once and its seeds run in order, so results are unchanged.
+    """
+    algo, problem, seeds, budget = task
     try:
-        result = algo.run(problem, seed, algo.build(budget))
+        config = algo.build(budget)
+        results = [(seed, algo.run(problem, seed, config)) for seed in seeds]
     except Exception as exc:  # isolated to its cell; bench reports it and exits 3
-        logger.debug("run %s seed %d failed", algo.label, seed, exc_info=True)
+        logger.debug("run %s seeds %s failed", algo.label, seeds, exc_info=True)
         return str(exc)
-    return RunRecord(
-        seed=seed,
-        best_fitness=result.best_fitness,
-        best_bits=bits_to_string(result.best_bits),
-        trajectory=result.trajectory,
-    )
+    return [RunRecord(seed, r.best_fitness, bits_to_string(r.best_bits), r.trajectory)
+            for seed, r in results]
 
 
 def run_experiment(plan: ExperimentPlan) -> ExperimentResult:
@@ -267,8 +268,9 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentResult:
 
     Run r of every cell uses seed base_seed + r.  A problem that fails to
     load, or a run that raises, marks its cell failed and the rest of the
-    experiment proceeds.  Parallel execution (jobs > 1) changes nothing
-    observable.
+    experiment proceeds.  The unit of dispatch is a chunk of one cell's seeds
+    (ceil(4 * jobs / cells) chunks per cell, at most one per run), so each
+    problem is pickled once per chunk; neither chunks nor jobs change results.
     """
     loaded: dict[str, FitnessFunction | Exception] = {}
     for spec in plan.problems:
@@ -281,6 +283,9 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentResult:
     cells: list[CellResult] = []
     owners: list[CellResult] = []
     tasks = []
+    runs = plan.runs_per_cell
+    chunks = min(runs, -(-4 * plan.jobs // (len(plan.problems) * len(plan.algorithms))))
+    bounds = [plan.base_seed + runs * i // chunks for i in range(chunks + 1)]
     for pspec in plan.problems:
         problem = loaded[pspec.name]
         for aspec in plan.algorithms:
@@ -288,19 +293,19 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentResult:
                 cells.append(CellResult(pspec.name, aspec.label, None, error=str(problem)))
                 continue
             cells.append(CellResult(pspec.name, aspec.label, problem.size))
-            for r in range(plan.runs_per_cell):
+            for lo, hi in zip(bounds, bounds[1:]):
                 owners.append(cells[-1])
-                tasks.append((aspec, problem, plan.base_seed + r, plan.max_fitness_evaluations))
+                tasks.append((aspec, problem, range(lo, hi), plan.max_fitness_evaluations))
 
     if plan.jobs == 1:
-        outcomes = list(map(_execute_run, tasks))
+        outcomes = list(map(_execute_chunk, tasks))
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=plan.jobs) as pool:
-            outcomes = list(pool.map(_execute_run, tasks))
+            outcomes = list(pool.map(_execute_chunk, tasks))
 
     for cell, outcome in zip(owners, outcomes):
-        if isinstance(outcome, RunRecord):
-            cell.runs.append(outcome)
+        if isinstance(outcome, list):
+            cell.runs.extend(outcome)
         elif not cell.failed:
             cell.error = outcome
     for cell in cells:

@@ -11,6 +11,12 @@ import numpy as np
 from .core import BitString, RandomSource
 
 
+def _check_weight(weight: float) -> None:
+    """Reject a clause weight that is not positive and finite (NaN fails both)."""
+    if not 0 < weight < np.inf:
+        raise ValueError(f"clause weights must be positive and finite, got {weight}")
+
+
 class DimacsParseError(ValueError):
     """Malformed DIMACS input, with the offending 1-based line number."""
 
@@ -25,7 +31,8 @@ class CnfFormula:
 
     Clauses are tuples of nonzero signed integers: positive k is variable k,
     negative k its negation.  Variable k reads bit k-1 of an assignment.
-    Optional per-clause weights make the satisfied-clause count weighted.
+    Optional per-clause weights, each positive and finite, make the
+    satisfied-clause count weighted.
     """
 
     variable_count: int
@@ -51,8 +58,8 @@ class CnfFormula:
                 raise ValueError(
                     f"{len(self.weights)} weights for {len(self.clauses)} clauses"
                 )
-            if any(w <= 0 for w in self.weights):
-                raise ValueError("clause weights must be positive")
+            for w in self.weights:
+                _check_weight(w)
 
     @property
     def clause_count(self) -> int:
@@ -121,8 +128,10 @@ def parse_dimacs(source: str | IO[str]) -> CnfFormula:
                     pending_weight = float(token)
                 except ValueError:
                     raise DimacsParseError(f"expected clause weight, got {token!r}", lineno)
-                if pending_weight <= 0:
-                    raise DimacsParseError(f"clause weight must be positive: {token}", lineno)
+                try:
+                    _check_weight(pending_weight)
+                except ValueError as exc:
+                    raise DimacsParseError(str(exc), lineno) from None
                 continue
             try:
                 lit = int(token)

@@ -519,6 +519,18 @@ class TestSgaEvolve:
         assert result.best_fitness <= 0.0
         assert result.evaluations == 50
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fitness_names_the_cause(self, value):
+        config = SgaConfig(population_size=10, generations=3)
+        rng = RandomSource(5)
+        message = r"generation 1: non-finite fitness \(NaN, inf or -inf\)"
+        with pytest.raises(ValueError, match=message):
+            sga_evolve(ConstantBatchProblem(6, value), config, rng)
+        # Raised before the roulette draws: only the initial population was drawn.
+        expected = RandomSource(5)
+        expected.gen.integers(0, 2, size=(10, 6), dtype=np.uint8)
+        assert rng.gen.bit_generator.state == expected.gen.bit_generator.state
+
     def test_all_zero_fitness_uniform_fallback(self, caplog):
         config = SgaConfig(population_size=10, generations=3)
         with caplog.at_level(logging.WARNING, logger="hoqiga.algorithms"):

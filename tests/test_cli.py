@@ -309,6 +309,26 @@ class TestBenchCommand:
             assert len(rows) == 2 * 2 * 2
             assert "nan6" not in {r["problem"] for r in rows}
 
+    def test_non_finite_weight_problem_fails_only_its_cells(self, capsys, tmp_path):
+        wcnf = tmp_path / "nan.wcnf"
+        wcnf.write_text("p wcnf 2 2\nnan 1 2 0\n1 -1 0\n")
+        plan = json.loads(self.write_plan(tmp_path).read_text())
+        plan["problems"].append({"name": "nanw", "source": str(wcnf)})
+        (tmp_path / "plan.json").write_text(json.dumps(plan))
+        for jobs in ("1", "2"):
+            outdir = tmp_path / f"out{jobs}"
+            code, _, err = invoke(
+                capsys, "bench", "--plan", str(tmp_path / "plan.json"),
+                "--outdir", str(outdir), "--jobs", jobs,
+            )
+            assert code == 3
+            for algo in ("qiga2", "sga"):
+                assert f"failed: nanw / {algo}" in err
+            assert "line 2: clause weights must be positive and finite" in err
+            rows = list(csv.DictReader((outdir / "runs.csv").open()))
+            assert len(rows) == 2 * 2 * 2
+            assert "nanw" not in {r["problem"] for r in rows}
+
     def test_invalid_sga_population_fails_only_its_cell(self, capsys, tmp_path):
         plan = json.loads(self.write_plan(tmp_path).read_text())
         plan["algorithms"].append({"id": "sga", "population_size": 0, "label": "sga-empty"})

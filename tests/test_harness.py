@@ -7,6 +7,8 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
+import hoqiga.harness
+from hoqiga.core import bits_to_string
 from hoqiga.harness import (
     AlgorithmSpec,
     CellResult,
@@ -22,6 +24,23 @@ from hoqiga.harness import (
     rank_algorithms,
     run_experiment,
 )
+from hoqiga.problems import FitnessFunction
+
+
+class PickleCountingOneMax(FitnessFunction):
+    """OneMax that counts, in the pickling process, how often it is pickled."""
+
+    pickles = 0
+
+    def __init__(self, size):
+        super().__init__(size=size, name="counted")
+
+    def batch(self, bits):
+        return np.count_nonzero(bits, axis=-1).astype(np.float64)
+
+    def __getstate__(self):
+        type(self).pickles += 1
+        return self.__dict__
 
 
 def small_plan(**overrides):
@@ -154,11 +173,53 @@ class TestRunExperiment:
             )
 
     def test_parallel_matches_serial(self):
-        serial = run_experiment(small_plan(jobs=1))
-        parallel = run_experiment(small_plan(jobs=2))
-        for cs, cp in zip(serial.cells, parallel.cells):
-            assert [r.seed for r in cs.runs] == [r.seed for r in cp.runs]
-            assert [r.best_fitness for r in cs.runs] == [r.best_fitness for r in cp.runs]
+        # 7 runs per cell: the 2, 4 and 6 chunks per cell at jobs 1, 2 and 3
+        # all split it unevenly.  The reference is one direct run per seed.
+        plan = small_plan(runs_per_cell=7)
+        problem = plan.problems[0].load()
+        expected = []
+        for aspec in plan.algorithms:
+            runs = [(seed, aspec.run(problem, seed, aspec.build(100))) for seed in range(11, 18)]
+            expected.append([
+                (seed, r.best_fitness, bits_to_string(r.best_bits), r.trajectory.tobytes())
+                for seed, r in runs
+            ])
+        for jobs in (1, 2, 3):
+            result = run_experiment(small_plan(runs_per_cell=7, jobs=jobs))
+            got = [
+                [(r.seed, r.best_fitness, r.best_bits, r.trajectory.tobytes()) for r in cell.runs]
+                for cell in result.cells
+            ]
+            assert got == expected, jobs
+
+    def test_problem_pickled_once_per_chunk(self, monkeypatch):
+        monkeypatch.setattr(
+            hoqiga.harness, "load_problem", lambda source, name="": PickleCountingOneMax(6)
+        )
+        monkeypatch.setattr(PickleCountingOneMax, "pickles", 0)
+        # 2 cells x 10 runs at jobs 2: ceil(8 / 2) = 4 chunks per cell, so at
+        # most 8 pickles where one task per run would make 20.
+        result = run_experiment(small_plan(runs_per_cell=10, jobs=2))
+        assert not result.failures
+        assert sum(len(cell.runs) for cell in result.cells) == 20
+        assert 0 < PickleCountingOneMax.pickles <= 8
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_seed_fails_only_its_cell(self, monkeypatch, jobs):
+        real_run = AlgorithmSpec.run
+
+        def run(self, problem, seed, config):
+            if self.id == "sga" and seed >= 15:
+                raise ValueError(f"seed {seed} raised")
+            return real_run(self, problem, seed, config)
+
+        monkeypatch.setattr(AlgorithmSpec, "run", run)  # forked workers inherit it
+        # Seed 15 falls inside a chunk; at jobs 2 the chunk after it fails too,
+        # with seed 16, and the cell keeps the first error.
+        result = run_experiment(small_plan(runs_per_cell=7, jobs=jobs))
+        qiga, sga = result.cells
+        assert [r.seed for r in qiga.runs] == list(range(11, 18))
+        assert sga.error == "seed 15 raised" and sga.runs == []
 
     def test_failed_problem_marks_cell_and_continues(self):
         plan = small_plan(

@@ -78,6 +78,12 @@ class TestParseDimacs:
         with pytest.raises(DimacsParseError):
             parse_dimacs("p wcnf 1 1 5\n0 1 0\n")
 
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_weighted_rejects_non_finite_weight(self, weight):
+        message = "line 3: clause weights must be positive and finite"
+        with pytest.raises(DimacsParseError, match=message):
+            parse_dimacs(f"p wcnf 2 2\n1 -1 0\n{weight} 1 2 0\n")
+
 
 class TestSerialization:
     def test_round_trip_plain(self):
@@ -104,6 +110,11 @@ class TestMaxSatFitness:
         formula = CnfFormula(1, ((1,), (-1,)))
         for bits in all_assignments(1):
             assert maxsat_fitness(formula, bits) == 1.0
+
+    @pytest.mark.parametrize("weight", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_weight_not_positive_and_finite(self, weight):
+        with pytest.raises(ValueError, match="clause weights must be positive and finite"):
+            CnfFormula(2, ((1,), (2,)), weights=(1.0, weight))
 
     def test_weighted_counts_weights(self):
         formula = CnfFormula(2, ((1,), (2,)), weights=(3.0, 0.5))
