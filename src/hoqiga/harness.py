@@ -253,24 +253,25 @@ def _execute_chunk(task: tuple[AlgorithmSpec, FitnessFunction, range, int]) -> l
     once, its config built once and its seeds run in order, so results are unchanged.
     """
     algo, problem, seeds, budget = task
+    records, seed = [], None  # seed None: build raised
     try:
         config = algo.build(budget)
-        results = [(seed, algo.run(problem, seed, config)) for seed in seeds]
+        for seed in seeds:
+            r = algo.run(problem, seed, config)
+            records.append(RunRecord(seed, r.best_fitness, bits_to_string(r.best_bits), r.trajectory))
     except Exception as exc:  # isolated to its cell; bench reports it and exits 3
-        logger.debug("run %s seeds %s failed", algo.label, seeds, exc_info=True)
+        logger.debug("run %s seed %s failed", algo.label, seed, exc_info=True)
         return str(exc)
-    return [RunRecord(seed, r.best_fitness, bits_to_string(r.best_bits), r.trajectory)
-            for seed, r in results]
+    return records
 
 
 def run_experiment(plan: ExperimentPlan) -> ExperimentResult:
     """Execute every cell of the plan.
 
-    Run r of every cell uses seed base_seed + r.  A problem that fails to
-    load, or a run that raises, marks its cell failed and the rest of the
-    experiment proceeds.  The unit of dispatch is a chunk of one cell's seeds
-    (ceil(4 * jobs / cells) chunks per cell, at most one per run), so each
-    problem is pickled once per chunk; neither chunks nor jobs change results.
+    Run r of every cell uses seed base_seed + r.  A problem that fails to load,
+    or a run that raises, fails only its cell.  The unit of dispatch is a chunk
+    of one cell's seeds (ceil(4 * jobs / cells) per cell, at most one per run):
+    each problem is pickled once per chunk; neither chunks nor jobs change results.
     """
     loaded: dict[str, FitnessFunction | Exception] = {}
     for spec in plan.problems:
@@ -303,14 +304,13 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentResult:
         with concurrent.futures.ProcessPoolExecutor(max_workers=plan.jobs) as pool:
             outcomes = list(pool.map(_execute_chunk, tasks))
 
-    for cell, outcome in zip(owners, outcomes):
+    for cell, outcome in zip(owners, outcomes):  # in order, so a cell keeps its first error
+        if cell.failed:
+            continue
         if isinstance(outcome, list):
             cell.runs.extend(outcome)
-        elif not cell.failed:
-            cell.error = outcome
-    for cell in cells:
-        if cell.failed:
-            cell.runs = []
+        else:
+            cell.error, cell.runs = outcome, []
     return ExperimentResult(plan=plan, cells=cells)
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import logging
 from xml.etree import ElementTree
 
 import numpy as np
@@ -41,6 +42,19 @@ class PickleCountingOneMax(FitnessFunction):
     def __getstate__(self):
         type(self).pickles += 1
         return self.__dict__
+
+
+class RaisingSpec(AlgorithmSpec):
+    """An AlgorithmSpec whose runs raise from seed 15 on.
+
+    Defined at module level, so pool workers unpickle it by reference under
+    any start method.
+    """
+
+    def run(self, problem, seed, config):
+        if seed >= 15:
+            raise ValueError(f"seed {seed} raised")
+        return super().run(problem, seed, config)
 
 
 def small_plan(**overrides):
@@ -205,21 +219,19 @@ class TestRunExperiment:
         assert 0 < PickleCountingOneMax.pickles <= 8
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_failing_seed_fails_only_its_cell(self, monkeypatch, jobs):
-        real_run = AlgorithmSpec.run
-
-        def run(self, problem, seed, config):
-            if self.id == "sga" and seed >= 15:
-                raise ValueError(f"seed {seed} raised")
-            return real_run(self, problem, seed, config)
-
-        monkeypatch.setattr(AlgorithmSpec, "run", run)  # forked workers inherit it
+    def test_failing_seed_fails_only_its_cell(self, caplog, jobs):
+        caplog.set_level(logging.DEBUG, logger="hoqiga.harness")
+        qiga, sga = small_plan().algorithms
         # Seed 15 falls inside a chunk; at jobs 2 the chunk after it fails too,
         # with seed 16, and the cell keeps the first error.
-        result = run_experiment(small_plan(runs_per_cell=7, jobs=jobs))
+        plan = small_plan(algorithms=(qiga, RaisingSpec(sga.id, sga.params)),
+                          runs_per_cell=7, jobs=jobs)
+        result = run_experiment(plan)
         qiga, sga = result.cells
         assert [r.seed for r in qiga.runs] == list(range(11, 18))
         assert sga.error == "seed 15 raised" and sga.runs == []
+        if jobs == 1:  # pool workers log in their own processes
+            assert "run sga seed 15 failed" in caplog.text
 
     def test_failed_problem_marks_cell_and_continues(self):
         plan = small_plan(
