@@ -34,7 +34,6 @@ from .core import (
     observe_chromosome,
     observe_register,
     observe_register_many,
-    random_bits,
     register_basis,
     register_uniform,
 )

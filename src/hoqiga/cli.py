@@ -213,14 +213,17 @@ def _cmd_meta(args) -> int:
         problems = tuple(
             ProblemSpec(name=source, source=source) for source in args.problems.split(",")
         )
-        spec = TuningSpec(
-            grid=grid,
-            problems=problems,
-            runs_per_candidate=args.runs,
-            base_seed=args.seed,
-            max_fitness_evaluations=args.maxfe,
-            jobs=args.jobs,
-        )
+        try:
+            spec = TuningSpec(
+                grid=grid,
+                problems=problems,
+                runs_per_candidate=args.runs,
+                base_seed=args.seed,
+                max_fitness_evaluations=args.maxfe,
+                jobs=args.jobs,
+            )
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
     result = tune(spec)
     print(f"best mu {result.best_value!r}{' (tie)' if result.tie else ''}")
     for i, mu in enumerate(result.candidates):

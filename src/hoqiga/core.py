@@ -224,8 +224,3 @@ def bits_from_string(text: str) -> BitString:
     if not text or any(c not in "01" for c in text):
         raise ValueError(f"bitstring must be nonempty over {{0,1}}, got {text!r}")
     return np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")
-
-
-def random_bits(n: int, rng: RandomSource) -> BitString:
-    """Uniform random bitstring of length n."""
-    return rng.bits(n)

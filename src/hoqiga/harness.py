@@ -328,12 +328,6 @@ class RankingTable:
     def ties(self) -> list[tuple[str, list[str]]]:
         return [(problem, labels) for problem, labels in self.winners.items() if len(labels) > 1]
 
-    def wins(self, algorithm: str) -> int:
-        for label, count in self.rows:
-            if label == algorithm:
-                return count
-        raise KeyError(algorithm)
-
     @property
     def first(self) -> str:
         return self.rows[0][0]

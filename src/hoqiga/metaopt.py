@@ -1,6 +1,7 @@
 """Grid-search tuning of the contraction factor over a problem suite.
 
-Each candidate value runs the full suite with identical seeds; per-problem
+The grid runs as one experiment plan, one qiga-r candidate per value on seeds
+base_seed + r, so jobs spread over every candidate x problem cell.  Per-problem
 mean best fitnesses are min-max normalized across candidates so no single
 large problem dominates, and the candidate with the best mean normalized
 score wins.  Ties go to the smaller (less greedy) value and are flagged.
@@ -11,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Any
 
@@ -39,10 +41,23 @@ class TuningSpec:
             raise ValueError("tuning grid must be non-empty")
         if any(not 0.0 < g < 1.0 for g in self.grid):
             raise ValueError(f"all grid values must be in (0, 1), got {self.grid}")
-        if not self.problems:
-            raise ValueError("tuning suite must contain at least one problem")
-        if self.runs_per_candidate < 1:
-            raise ValueError("runs per candidate must be >= 1")
+        self.plan  # the plan validates the suite, runs, budget and jobs
+
+    @cached_property
+    def plan(self) -> ExperimentPlan:
+        """The grid as one plan: candidate i is qiga-r with mu = grid[i], labelled mu[i]."""
+        fixed = (("order", self.order), ("quantum_population_size", self.quantum_population_size))
+        return ExperimentPlan(
+            problems=self.problems,
+            algorithms=tuple(
+                AlgorithmSpec("qiga-r", (("mu", mu), *fixed), f"mu[{i}]")
+                for i, mu in enumerate(self.grid)
+            ),
+            runs_per_cell=self.runs_per_candidate,
+            base_seed=self.base_seed,
+            max_fitness_evaluations=self.max_fitness_evaluations,
+            jobs=self.jobs,
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "TuningSpec":
@@ -76,31 +91,15 @@ class TuningResult:
 
 
 def tune(spec: TuningSpec) -> TuningResult:
-    """Score every grid candidate with the harness and pick the best."""
-    raw = np.empty((len(spec.grid), len(spec.problems)))
-    for c_idx, mu in enumerate(spec.grid):
-        plan = ExperimentPlan(
-            problems=spec.problems,
-            algorithms=(
-                AlgorithmSpec(
-                    id="qiga-r",
-                    params=(
-                        ("mu", mu),
-                        ("order", spec.order),
-                        ("quantum_population_size", spec.quantum_population_size),
-                    ),
-                ),
-            ),
-            runs_per_cell=spec.runs_per_candidate,
-            base_seed=spec.base_seed,
-            max_fitness_evaluations=spec.max_fitness_evaluations,
-            jobs=spec.jobs,
-        )
-        result = run_experiment(plan)
-        failed = result.failures
-        if failed:
-            raise ValueError(f"tuning suite problem failed to load or run: {failed[0].error}")
-        raw[c_idx] = [cell.mean for cell in result.cells]
+    """Run spec.plan in one call, jobs over all its cells; results match a call per candidate.
+
+    A suite problem that fails to load or run raises ValueError after every cell has run.
+    """
+    result = run_experiment(spec.plan)
+    if result.failures:
+        raise ValueError(f"tuning suite problem failed to load or run: {result.failures[0].error}")
+    # Cells are problem-major; a C-order copy keeps each score's sum in per-candidate order.
+    raw = np.reshape([cell.mean for cell in result.cells], (len(spec.problems), -1)).T.copy()
 
     spans = raw.max(axis=0) - raw.min(axis=0)
     normalized = np.zeros_like(raw)

@@ -379,3 +379,16 @@ class TestMetaCommand:
 
     def test_needs_grid_or_spec(self, capsys):
         assert invoke(capsys, "meta", "--grid", "0.5")[0] == 1
+
+    @pytest.mark.parametrize(
+        "grid, extra", [("0.5", ["--runs", "0"]), ("0.5", ["--jobs", "0"]), ("0.5,1.0", [])]
+    )
+    def test_rejected_flag_values_are_usage_errors(self, capsys, grid, extra):
+        code, _, err = invoke(capsys, "meta", "--grid", grid, "--problems", "onemax:6", *extra)
+        assert code == 1
+        assert err.startswith("error: ")
+
+    def test_rejected_spec_file_values_are_runtime_errors(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"grid": [0.5], "problems": [], "runs": 2}))
+        assert invoke(capsys, "meta", "--spec", str(path))[0] == 2

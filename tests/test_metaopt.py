@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from hoqiga.harness import ProblemSpec
+import hoqiga.metaopt
+from hoqiga.harness import AlgorithmSpec, ExperimentPlan, ProblemSpec, run_experiment
 from hoqiga.metaopt import TuningSpec, export_tuning_csv, tune
 
 
@@ -18,6 +19,32 @@ def quick_spec(grid, problems=None, runs=3, maxfe=200):
         base_seed=5,
         max_fitness_evaluations=maxfe,
     )
+
+
+def reference_tune(spec):
+    """Raw means, normalized means and scores from one run_experiment call per candidate."""
+    raw = np.empty((len(spec.grid), len(spec.problems)))
+    for c_idx, mu in enumerate(spec.grid):
+        params = (
+            ("mu", mu),
+            ("order", spec.order),
+            ("quantum_population_size", spec.quantum_population_size),
+        )
+        plan = ExperimentPlan(
+            problems=spec.problems,
+            algorithms=(AlgorithmSpec("qiga-r", params),),
+            runs_per_cell=spec.runs_per_candidate,
+            base_seed=spec.base_seed,
+            max_fitness_evaluations=spec.max_fitness_evaluations,
+        )
+        raw[c_idx] = [cell.mean for cell in run_experiment(plan).cells]
+    spans = raw.max(axis=0) - raw.min(axis=0)
+    normalized = np.zeros_like(raw)
+    informative = spans > 0
+    normalized[:, informative] = (raw[:, informative] - raw.min(axis=0)[informative]) / spans[
+        informative
+    ]
+    return raw, normalized, normalized.mean(axis=1)
 
 
 class TestTuningSpec:
@@ -32,6 +59,19 @@ class TestTuningSpec:
     def test_rejects_empty_suite(self):
         with pytest.raises(ValueError):
             TuningSpec(grid=(0.9,), problems=())
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"jobs": 0},
+            {"max_fitness_evaluations": 0},
+            {"problems": (ProblemSpec("om", "onemax:6"), ProblemSpec("om", "onemax:8"))},
+        ],
+    )
+    def test_rejects_invalid_plan_at_construction(self, overrides):
+        fields = {"grid": (0.9,), "problems": (ProblemSpec("om6", "onemax:6"),)}
+        with pytest.raises(ValueError):
+            TuningSpec(**{**fields, **overrides})
 
     def test_from_json(self):
         doc = {
@@ -92,6 +132,42 @@ class TestTune:
         )
         result = tune(spec)
         assert not (result.best_value == 0.999999 and not result.tie)
+
+    def test_runs_the_grid_as_one_plan(self, monkeypatch):
+        cell_counts = []
+
+        def counting_run_experiment(plan):
+            result = run_experiment(plan)
+            cell_counts.append(len(result.cells))
+            return result
+
+        monkeypatch.setattr(hoqiga.metaopt, "run_experiment", counting_run_experiment)
+        problems = (ProblemSpec("om6", "onemax:6"), ProblemSpec("t2", "trap:2"))
+        result = tune(quick_spec((0.5, 0.9, 0.9), problems=problems))
+        assert cell_counts == [3 * 2]
+        assert result.raw_means.shape == (3, 2)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_matches_one_run_per_candidate_bitwise(self, jobs):
+        # Nine problems, so each score sums more values than numpy's 8-way
+        # unrolled pairwise sum, whose order depends on the memory layout; on
+        # this suite a column-major score table changes the scores' last bits.
+        sources = ["3sat:30:128:1", "3sat:40:170:2", "onemax:20", "onemax:30", "onemax:40",
+                   "trap:8", "trap:10", "trap:12", "trap:14"]
+        spec = TuningSpec(
+            grid=(0.5, 0.7, 0.8, 0.9, 0.9),
+            problems=tuple(ProblemSpec(s, s) for s in sources),
+            runs_per_candidate=3,
+            base_seed=0,
+            max_fitness_evaluations=120,
+            jobs=jobs,
+        )
+        result = tune(spec)
+        for got, want in zip(
+            (result.raw_means, result.normalized, result.scores), reference_tune(spec)
+        ):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     def test_failed_suite_problem_raises(self):
         spec = quick_spec((0.9,), problems=(ProblemSpec("bad", "missing.cnf"),))
