@@ -433,8 +433,7 @@ def sga_evolve(
     while tracker.remaining:
         generations += 1
         fitnesses = problem.batch(population)
-        k = min(pop_size, tracker.remaining)
-        tracker.record(population[:k], fitnesses[:k])
+        tracker.record(population, fitnesses)  # the budget is whole generations
         if not tracker.remaining:
             break
 
@@ -465,12 +464,11 @@ def sga_evolve(
         children = parents.copy()
         if n >= 2:
             pairs = pop_size // 2
-            crossed = rng.gen.random(pairs) < config.crossover_probability
-            cuts = rng.gen.integers(1, n, size=pairs)
-            for k in np.flatnonzero(crossed):
-                cut = cuts[k]
-                children[2 * k, cut:] = parents[2 * k + 1, cut:]
-                children[2 * k + 1, cut:] = parents[2 * k, cut:]
+            crossed = np.flatnonzero(rng.gen.random(pairs) < config.crossover_probability)
+            cuts = rng.gen.integers(1, n, size=pairs)[crossed]
+            children[2 * crossed], children[2 * crossed + 1] = single_point_crossover(
+                parents[2 * crossed], parents[2 * crossed + 1], cuts
+            )
         flips = rng.gen.random((pop_size, n)) < config.mutation_probability
         children ^= flips.astype(np.uint8)
         population = children
@@ -478,13 +476,17 @@ def sga_evolve(
 
 
 def single_point_crossover(
-    parent_a: BitString, parent_b: BitString, cut: int
-) -> tuple[BitString, BitString]:
-    """Swap the suffixes of two equal-length parents at cut in [1, N-1]."""
-    if len(parent_a) != len(parent_b):
+    parent_a: np.ndarray, parent_b: np.ndarray, cut: int | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Swap the suffixes of two equal-shape parents at cut in [1, N-1].
+
+    Parents may be single bitstrings or stacked (k, N) rows with one cut each.
+    """
+    if np.shape(parent_a) != np.shape(parent_b):
         raise ValueError("parents must have equal length")
-    if not 1 <= cut <= len(parent_a) - 1:
-        raise ValueError(f"cut must be in [1, {len(parent_a) - 1}], got {cut}")
-    child_a = np.concatenate([parent_a[:cut], parent_b[cut:]])
-    child_b = np.concatenate([parent_b[:cut], parent_a[cut:]])
-    return child_a, child_b
+    n = np.shape(parent_a)[-1]
+    cut = np.asarray(cut)
+    if np.any(cut < 1) or np.any(cut > n - 1):
+        raise ValueError(f"cut must be in [1, {n - 1}], got {cut}")
+    suffix = np.arange(n) >= cut[..., None]
+    return np.where(suffix, parent_b, parent_a), np.where(suffix, parent_a, parent_b)

@@ -9,7 +9,6 @@ theory (order/factor tables), gen (random 3-SAT instances) and meta
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import logging
 import os
@@ -17,7 +16,15 @@ import sys
 from pathlib import Path
 
 from .core import RandomSource, bits_to_string
-from .harness import AlgorithmSpec, ExperimentPlan, ProblemSpec, export_all, run_experiment
+from .harness import (
+    ALGORITHMS,
+    AlgorithmSpec,
+    ExperimentPlan,
+    ProblemSpec,
+    export_all,
+    run_experiment,
+    write_csv,
+)
 from .metaopt import TuningSpec, export_tuning_csv, tune
 from .problems import generate_uniform_3sat, load_problem, to_dimacs
 from .theory import profile_grid
@@ -39,7 +46,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one algorithm on one problem")
-    run.add_argument("--algo", required=True, choices=["qiga2", "qiga-r", "qiga1", "sga"])
+    run.add_argument("--algo", required=True, choices=list(ALGORITHMS))
     run.add_argument("--order", type=int, help="register order for qiga-r")
     run.add_argument("--mu", type=float, help="contraction factor for qiga2 and qiga-r")
     run.add_argument(
@@ -87,20 +94,12 @@ def _build_parser() -> _Parser:
 
 def _cmd_run(args) -> int:
     problem = load_problem(args.problem)
-    if args.algo == "qiga-r":
-        if args.order is None:
-            raise UsageError("--algo qiga-r requires --order")
-        if not 1 <= args.order <= problem.size:
-            raise UsageError(
-                f"--order must satisfy 1 <= order <= problem size "
-                f"({problem.size}), got {args.order}"
-            )
-    elif args.order is not None:
-        raise UsageError("--order only applies to --algo qiga-r")
-
-    if args.mu is not None and args.algo not in ("qiga2", "qiga-r"):
-        raise UsageError("--mu only applies to --algo qiga2 and qiga-r")
-
+    # The one rule that needs the loaded problem; the algorithm table checks the rest.
+    if args.order is not None and not 1 <= args.order <= problem.size:
+        raise UsageError(
+            f"--order must satisfy 1 <= order <= problem size "
+            f"({problem.size}), got {args.order}"
+        )
     params = {"order": args.order, "mu": args.mu}
     spec = AlgorithmSpec(args.algo, {k: v for k, v in params.items() if v is not None})
     try:
@@ -114,11 +113,8 @@ def _cmd_run(args) -> int:
     print(f"best_bits {bits_to_string(result.best_bits)}")
     print(f"evaluations {result.evaluations} generations {result.generations}")
     if args.out:
-        with Path(args.out).open("w", newline="\n") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["evaluation", "best_so_far"])
-            for i, value in enumerate(result.trajectory, start=1):
-                writer.writerow([i, repr(float(value))])
+        rows = ([i, repr(float(value))] for i, value in enumerate(result.trajectory, start=1))
+        write_csv(args.out, ["evaluation", "best_so_far"], rows)
         print(f"trajectory {args.out}")
     return 0
 
@@ -182,10 +178,7 @@ def _cmd_theory(args) -> int:
     for row in rows:
         print("\t".join(str(v) for v in row))
     if args.csv:
-        with Path(args.csv).open("w", newline="\n") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+        write_csv(args.csv, header, rows)
         print(f"wrote {args.csv}", file=sys.stderr)
     return 0
 

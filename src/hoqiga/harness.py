@@ -35,7 +35,13 @@ from .problems import FitnessFunction, load_problem
 
 logger = logging.getLogger(__name__)
 
-_EVOLVERS = {"qiga2": qiga_evolve, "qiga-r": qiga_evolve, "qiga1": qiga1_evolve, "sga": sga_evolve}
+# Each algorithm id's evolver and the plan parameters it accepts; nothing else lists them.
+ALGORITHMS = {
+    "qiga2": (qiga_evolve, ("mu", "quantum_population_size", "samples_per_individual")),
+    "qiga-r": (qiga_evolve, ("mu", "order", "quantum_population_size", "samples_per_individual")),
+    "qiga1": (qiga1_evolve, ("angle", "epsilon_guard", "quantum_population_size")),
+    "sga": (sga_evolve, ("population_size", "crossover_probability", "mutation_probability")),
+}
 
 
 @dataclass(frozen=True)
@@ -58,8 +64,8 @@ class AlgorithmSpec:
     label: str = ""
 
     def __post_init__(self):
-        if self.id not in _EVOLVERS:
-            raise ValueError(f"unknown algorithm {self.id!r}, expected one of {tuple(_EVOLVERS)}")
+        if self.id not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {self.id!r}, expected one of {tuple(ALGORITHMS)}")
         if isinstance(self.params, dict):
             object.__setattr__(self, "params", tuple(sorted(self.params.items())))
         if not self.label:
@@ -68,19 +74,24 @@ class AlgorithmSpec:
     def build(self, max_fitness_evaluations: int):
         """Materialise the config for this spec under the shared budget.
 
-        Only the given params are passed on; every other knob keeps its
-        config default.
+        Only the given params are passed on, mu as the contraction factor and
+        angle as the rotation table; every other knob keeps its config default.
+        A param the id does not accept raises a ValueError that names it.
         """
+        evolve, accepted = ALGORITHMS[self.id]
         params = dict(self.params)
-        if self.id in ("qiga2", "qiga-r"):
-            if self.id == "qiga2":
-                params.setdefault("order", 2)
-            elif "order" not in params:
-                raise ValueError("qiga-r requires an 'order' parameter")
+        for key in params:
+            if key not in accepted:
+                raise ValueError(
+                    f"{self.id} takes no parameter {key!r}; it accepts {', '.join(accepted)}"
+                )
+        if evolve is qiga_evolve:  # an id that takes no order runs at the default order 2
+            if "order" in accepted and "order" not in params:
+                raise ValueError(f"{self.id} requires an 'order' parameter")
             if "mu" in params:
                 params["contraction_factor"] = params.pop("mu")
             return QigaConfig(max_fitness_evaluations=max_fitness_evaluations, **params)
-        if self.id == "qiga1":
+        if evolve is qiga1_evolve:
             angle = params.pop("angle", None)
             if angle is not None:
                 params["rotation_table"] = tuple(default_rotation_table(angle).items())
@@ -97,7 +108,7 @@ class AlgorithmSpec:
 
     def run(self, problem: FitnessFunction, seed: int, config) -> RunResult:
         """One seeded run of this spec's evolver with a config from build()."""
-        return _EVOLVERS[self.id](problem, config, RandomSource(seed))
+        return ALGORITHMS[self.id][0](problem, config, RandomSource(seed))
 
 
 @dataclass(frozen=True)
@@ -137,12 +148,12 @@ class ExperimentPlan:
         doc = json.loads(text)
         problems = tuple(
             ProblemSpec(name=entry["name"], source=entry["source"])
-            for entry in doc["problems"]
+            for entry in doc.get("problems", ())
         )
         algorithms = []
-        for entry in doc["algorithms"]:
+        for entry in doc.get("algorithms", ()):
             entry = dict(entry)
-            algo_id = entry.pop("id")
+            algo_id = entry.pop("id", "")
             label = entry.pop("label", "")
             algorithms.append(AlgorithmSpec(algo_id, tuple(sorted(entry.items())), label))
         return cls(
@@ -363,52 +374,49 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def export_runs_csv(result: ExperimentResult, path: str | Path) -> Path:
-    """Long-form CSV: one row per run."""
+def write_csv(path: str | Path, header: list[str], rows) -> Path:
+    """Write header and rows as CSV with "\n" line ends; every export goes through here."""
     path = Path(path)
     with path.open("w", newline="\n") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["problem", "size_N", "algorithm", "run_seed", "best_fitness"])
-        for cell in result.cells:
-            for record in cell.runs:
-                writer.writerow(
-                    [cell.problem, cell.problem_size, cell.algorithm, record.seed,
-                     _fmt(record.best_fitness)]
-                )
+        writer.writerow(header)
+        writer.writerows(rows)
     return path
+
+
+def export_runs_csv(result: ExperimentResult, path: str | Path) -> Path:
+    """Long-form CSV: one row per run."""
+    rows = (
+        [cell.problem, cell.problem_size, cell.algorithm, record.seed, _fmt(record.best_fitness)]
+        for cell in result.cells
+        for record in cell.runs
+    )
+    return write_csv(path, ["problem", "size_N", "algorithm", "run_seed", "best_fitness"], rows)
 
 
 def export_aggregate_csv(result: ExperimentResult, path: str | Path) -> Path:
     """Summary CSV: one row per cell, with the ranking's per-problem win marker."""
     winners = result.ranking.winners if result.ranking is not None else {}
-    path = Path(path)
-    with path.open("w", newline="\n") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["problem", "algorithm", "mean", "std", "min", "max", "wins"])
-        for cell in result.cells:
-            if cell.failed:
-                writer.writerow([cell.problem, cell.algorithm, "", "", "", "", ""])
-                continue
-            writer.writerow(
-                [cell.problem, cell.algorithm, _fmt(cell.mean), _fmt(cell.std),
-                 _fmt(cell.minimum), _fmt(cell.maximum),
-                 int(cell.algorithm in winners[cell.problem]) if cell.problem in winners else ""]
-            )
-    return path
+    rows = (
+        [cell.problem, cell.algorithm, "", "", "", "", ""] if cell.failed
+        else [cell.problem, cell.algorithm, _fmt(cell.mean), _fmt(cell.std),
+              _fmt(cell.minimum), _fmt(cell.maximum),
+              int(cell.algorithm in winners[cell.problem]) if cell.problem in winners else ""]
+        for cell in result.cells
+    )
+    return write_csv(path, ["problem", "algorithm", "mean", "std", "min", "max", "wins"], rows)
 
 
 def export_ranking_csv(ranking: RankingTable, path: str | Path) -> Path:
-    path = Path(path)
     tied_counts: dict[str, int] = {}
     for _problem, winners in ranking.ties:
         for label in winners:
             tied_counts[label] = tied_counts.get(label, 0) + 1
-    with path.open("w", newline="\n") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["rank", "algorithm", "wins", "tied_wins"])
-        for rank, (label, count) in enumerate(ranking.rows, start=1):
-            writer.writerow([rank, label, count, tied_counts.get(label, 0)])
-    return path
+    rows = (
+        [rank, label, count, tied_counts.get(label, 0)]
+        for rank, (label, count) in enumerate(ranking.rows, start=1)
+    )
+    return write_csv(path, ["rank", "algorithm", "wins", "tied_wins"], rows)
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")

@@ -9,16 +9,14 @@ score wins.  Ties go to the smaller (less greedy) value and are flagged.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Any
 
 import numpy as np
 
-from .harness import AlgorithmSpec, ExperimentPlan, ProblemSpec, run_experiment
+from .harness import AlgorithmSpec, ExperimentPlan, ProblemSpec, run_experiment, write_csv
 
 
 @dataclass(frozen=True)
@@ -63,9 +61,9 @@ class TuningSpec:
     def from_json(cls, text: str) -> "TuningSpec":
         doc = json.loads(text)
         return cls(
-            grid=tuple(doc["grid"]),
+            grid=tuple(doc.get("grid", ())),
             problems=tuple(
-                ProblemSpec(name=e["name"], source=e["source"]) for e in doc["problems"]
+                ProblemSpec(name=e["name"], source=e["source"]) for e in doc.get("problems", ())
             ),
             runs_per_candidate=doc.get("runs", 20),
             base_seed=doc.get("seed", 0),
@@ -126,16 +124,12 @@ def tune(spec: TuningSpec) -> TuningResult:
 
 def export_tuning_csv(result: TuningResult, path: str | Path) -> Path:
     """One row per candidate: its score plus raw and normalized per-problem means."""
-    path = Path(path)
-    with path.open("w", newline="\n") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        header = ["mu", "score", "best"]
-        header += [f"mean:{p}" for p in result.problems]
-        header += [f"norm:{p}" for p in result.problems]
-        writer.writerow(header)
-        for i, mu in enumerate(result.candidates):
-            row: list[Any] = [repr(mu), repr(float(result.scores[i])), int(i == result.best_index)]
-            row += [repr(float(v)) for v in result.raw_means[i]]
-            row += [repr(float(v)) for v in result.normalized[i]]
-            writer.writerow(row)
-    return path
+    header = ["mu", "score", "best"]
+    header += [f"mean:{p}" for p in result.problems]
+    header += [f"norm:{p}" for p in result.problems]
+    rows = (
+        [repr(mu), repr(float(result.scores[i])), int(i == result.best_index)]
+        + [repr(float(v)) for v in (*result.raw_means[i], *result.normalized[i])]
+        for i, mu in enumerate(result.candidates)
+    )
+    return write_csv(path, header, rows)

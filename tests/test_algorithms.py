@@ -33,7 +33,7 @@ from hoqiga.core import (
     register_basis,
     register_uniform,
 )
-from hoqiga.problems import FitnessFunction, onemax, pair_trap
+from hoqiga.problems import FitnessFunction, load_problem, onemax, pair_trap
 
 
 class ConstantProblem(FitnessFunction):
@@ -473,6 +473,42 @@ class TestQiga1Evolve:
             Qiga1Config(epsilon_guard=0.3)
 
 
+def reference_sga_evolve(problem, config, rng):
+    """sga_evolve with one crossover pass per pair: the bitwise reference for the fast path."""
+    n = problem.size
+    pop_size = config.population_size
+    tracker = _BestTracker(config.max_fitness_evaluations)
+    population = rng.gen.integers(0, 2, size=(pop_size, n), dtype=np.uint8)
+    generations = 0
+    while tracker.remaining:
+        generations += 1
+        fitnesses = problem.batch(population)
+        k = min(pop_size, tracker.remaining)
+        tracker.record(population[:k], fitnesses[:k])
+        if not tracker.remaining:
+            break
+        selection = fitnesses.astype(np.float64, copy=True)
+        low = selection.min()
+        if low < 0:
+            selection += -low + 1.0
+        total = selection.sum()
+        probabilities = selection / total if total > 0 else np.full(pop_size, 1.0 / pop_size)
+        parents = population[rng.gen.choice(pop_size, size=pop_size, p=probabilities)]
+        children = parents.copy()
+        if n >= 2:
+            pairs = pop_size // 2
+            crossed = rng.gen.random(pairs) < config.crossover_probability
+            cuts = rng.gen.integers(1, n, size=pairs)
+            for k in np.flatnonzero(crossed):
+                cut = cuts[k]
+                children[2 * k, cut:] = parents[2 * k + 1, cut:]
+                children[2 * k + 1, cut:] = parents[2 * k, cut:]
+        flips = rng.gen.random((pop_size, n)) < config.mutation_probability
+        children ^= flips.astype(np.uint8)
+        population = children
+    return tracker.result(generations)
+
+
 class TestSgaEvolve:
     def test_crossover_example(self):
         a, b = single_point_crossover(
@@ -486,6 +522,47 @@ class TestSgaEvolve:
             single_point_crossover(bits_from_string("0000"), bits_from_string("1111"), 0)
         with pytest.raises(ValueError):
             single_point_crossover(bits_from_string("0000"), bits_from_string("1111"), 4)
+
+    def test_crossover_stacked_rows_cut_at_their_own_cut(self):
+        draws = np.random.default_rng(3)
+        a = draws.integers(0, 2, size=(6, 9), dtype=np.uint8)
+        b = draws.integers(0, 2, size=(6, 9), dtype=np.uint8)
+        cuts = np.array([1, 8, 4, 4, 2, 7])
+        child_a, child_b = single_point_crossover(a, b, cuts)
+        assert child_a.dtype == np.uint8 and child_a.shape == (6, 9)
+        for row, cut in enumerate(cuts):
+            assert np.array_equal(child_a[row], np.concatenate([a[row, :cut], b[row, cut:]]))
+            assert np.array_equal(child_b[row], np.concatenate([b[row, :cut], a[row, cut:]]))
+
+    def test_crossover_rejects_any_bad_cut_in_a_stack(self):
+        zeros, ones = np.zeros((2, 4), dtype=np.uint8), np.ones((2, 4), dtype=np.uint8)
+        for bad in (0, 4):
+            with pytest.raises(ValueError, match="cut must be in"):
+                single_point_crossover(zeros, ones, np.array([2, bad]))
+        with pytest.raises(ValueError, match="equal length"):
+            single_point_crossover(zeros, np.ones((2, 5), dtype=np.uint8), np.array([1, 1]))
+
+    @pytest.mark.parametrize(
+        "source", ["onemax:48", "trap:12", "3sat:60:258:7", "onemax:2", "onemax:1"]
+    )
+    def test_matches_per_pair_crossover_reference(self, source):
+        problem = load_problem(source)
+        configs = [
+            SgaConfig(population_size=20, generations=12),
+            SgaConfig(population_size=10, generations=15, crossover_probability=0.0),
+            SgaConfig(population_size=16, generations=10, crossover_probability=1.0,
+                      mutation_probability=0.01),
+        ]
+        for config in configs:
+            for seed in range(5):
+                rng, ref_rng = RandomSource(seed), RandomSource(seed)
+                result = sga_evolve(problem, config, rng)
+                reference = reference_sga_evolve(problem, config, ref_rng)
+                assert result.best_bits.tobytes() == reference.best_bits.tobytes()
+                assert result.best_fitness == reference.best_fitness
+                assert result.trajectory.tobytes() == reference.trajectory.tobytes()
+                assert result.generations == reference.generations
+                assert rng.gen.bit_generator.state == ref_rng.gen.bit_generator.state
 
     def test_onemax_mean_best(self):
         # Regression bound measured over seeds 0..99 and frozen.

@@ -102,6 +102,23 @@ class TestRunCommand:
         assert code == 1
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "algo, flag, param",
+        [("qiga2", "--order", "order"), ("qiga1", "--mu", "mu"), ("sga", "--order", "order"),
+         ("sga", "--mu", "mu")],
+    )
+    def test_parameter_the_algorithm_does_not_take_is_usage_error(self, capsys, algo, flag, param):
+        code, _, err = invoke(
+            capsys, "run", "--algo", algo, flag, "2", "--problem", "onemax:8", "--maxfe", "200"
+        )
+        assert code == 1
+        assert f"{algo} takes no parameter {param!r}" in err
+
+    def test_qiga_r_without_order_is_usage_error(self, capsys):
+        code, _, err = invoke(capsys, "run", "--algo", "qiga-r", "--problem", "onemax:8")
+        assert code == 1
+        assert "requires an 'order'" in err
+
     def test_config_built_once(self, capsys, monkeypatch):
         built = []
         build = AlgorithmSpec.build
@@ -344,6 +361,54 @@ class TestBenchCommand:
         assert len(rows) == 2 * 2 * 2
         assert "sga-empty" not in {r["algorithm"] for r in rows}
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize(
+        "entry, param",
+        [
+            ({"id": "qiga2", "order": 3}, "order"),
+            ({"id": "qiga2", "contraction_factor": 0.5}, "contraction_factor"),
+            ({"id": "qiga1", "mu": 0.9}, "mu"),
+            ({"id": "sga", "generations": 10}, "generations"),
+            ({"id": "sga", "order": 2}, "order"),
+        ],
+        ids=["qiga2-order", "qiga2-contraction_factor", "qiga1-mu", "sga-generations", "sga-order"],
+    )
+    def test_parameter_the_algorithm_does_not_take_fails_only_its_cells(
+        self, capsys, tmp_path, entry, param, jobs
+    ):
+        plan = json.loads(self.write_plan(tmp_path).read_text())
+        plan["algorithms"].append({**entry, "label": "stray"})
+        (tmp_path / "plan.json").write_text(json.dumps(plan))
+        outdir = tmp_path / "out"
+        code, _, err = invoke(
+            capsys, "bench", "--plan", str(tmp_path / "plan.json"),
+            "--outdir", str(outdir), "--jobs", jobs,
+        )
+        assert code == 3
+        failed = [line for line in err.splitlines() if line.startswith("failed: ")]
+        assert [line.split(":")[1].strip() for line in failed] == ["om6 / stray", "t2 / stray"]
+        for line in failed:
+            assert f"{entry['id']} takes no parameter {param!r}" in line
+        rows = list(csv.DictReader((outdir / "runs.csv").open()))
+        assert len(rows) == 2 * 2 * 2
+        assert "stray" not in {r["algorithm"] for r in rows}
+
+    @pytest.mark.parametrize(
+        "drop, message",
+        [("problems", "plan needs at least one problem"), ("id", "unknown algorithm")],
+    )
+    def test_missing_plan_key_is_named_runtime_error(self, capsys, tmp_path, drop, message):
+        plan = json.loads(self.write_plan(tmp_path).read_text())
+        if drop == "problems":
+            del plan["problems"]
+        else:
+            del plan["algorithms"][0]["id"]
+        (tmp_path / "plan.json").write_text(json.dumps(plan))
+        code, _, err = invoke(capsys, "bench", "--plan", str(tmp_path / "plan.json"),
+                              "--outdir", str(tmp_path / "out"))
+        assert code == 2
+        assert message in err
+
     def test_missing_plan_usage_error(self, capsys):
         assert invoke(capsys, "bench", "--plan", "nope.json")[0] == 1
 
@@ -392,3 +457,10 @@ class TestMetaCommand:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"grid": [0.5], "problems": [], "runs": 2}))
         assert invoke(capsys, "meta", "--spec", str(path))[0] == 2
+
+    def test_spec_file_without_grid_is_named_runtime_error(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"problems": [{"name": "om6", "source": "onemax:6"}]}))
+        code, _, err = invoke(capsys, "meta", "--spec", str(path))
+        assert code == 2
+        assert "tuning grid must be non-empty" in err

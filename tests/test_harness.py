@@ -3,6 +3,8 @@
 import csv
 import json
 import logging
+import re
+from pathlib import Path
 from xml.etree import ElementTree
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 import hoqiga.harness
 from hoqiga.core import bits_to_string
 from hoqiga.harness import (
+    ALGORITHMS,
     AlgorithmSpec,
     CellResult,
     ExperimentPlan,
@@ -121,6 +124,31 @@ class TestPlanValidation:
     def test_qiga_r_needs_order(self):
         with pytest.raises(ValueError, match="order"):
             AlgorithmSpec("qiga-r").build(1000)
+
+    @pytest.mark.parametrize(
+        "algo_id, param",
+        [("qiga2", "order"), ("qiga2", "contraction_factor"), ("qiga-r", "rotation_table"),
+         ("qiga1", "mu"), ("qiga1", "max_fitness_evaluations"), ("sga", "generations"),
+         ("sga", "order")],
+    )
+    def test_parameter_outside_the_table_rejected_by_name(self, algo_id, param):
+        spec = AlgorithmSpec(algo_id, {param: 3})
+        accepted = ", ".join(ALGORITHMS[algo_id][1])
+        with pytest.raises(ValueError, match=re.escape(f"{param!r}; it accepts {accepted}")):
+            spec.build(1000)
+
+    def test_table_parameters_reach_the_config(self):
+        assert AlgorithmSpec("qiga2").build(100).order == 2
+        qiga = AlgorithmSpec("qiga-r", {"order": 3, "mu": 0.5}).build(100)
+        assert (qiga.order, qiga.contraction_factor) == (3, 0.5)
+        qiga1 = AlgorithmSpec("qiga1", {"angle": 0.2}).build(100)
+        assert dict(qiga1.rotation_table)[(0, 1, False)] == 0.2
+
+    def test_readme_parameter_table_matches_code(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = re.findall(r"^\| `([^`]+)` \| (.+) \|$", readme, flags=re.MULTILINE)
+        documented = {algo_id: tuple(re.findall(r"`([^`]+)`", params)) for algo_id, params in rows}
+        assert documented == {algo_id: params for algo_id, (_, params) in ALGORITHMS.items()}
 
     def test_sga_budget_must_be_whole_generations(self):
         with pytest.raises(ValueError, match="whole number"):
