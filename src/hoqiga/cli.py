@@ -125,9 +125,10 @@ def _cmd_bench(args) -> int:
         raise UsageError(f"plan file not found: {plan_path}")
     plan = ExperimentPlan.from_json(plan_path.read_text())
     if args.jobs is not None:
-        if args.jobs < 1:
-            raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
-        plan = dataclasses.replace(plan, jobs=args.jobs)
+        try:
+            plan = dataclasses.replace(plan, jobs=args.jobs)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
     outdir = args.outdir or os.environ.get(OUTDIR_ENV) or "."
     result = run_experiment(plan)
     for path in export_all(result, outdir):

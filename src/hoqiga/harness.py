@@ -129,12 +129,11 @@ class ExperimentPlan:
             raise ValueError("plan needs at least one problem")
         if not self.algorithms:
             raise ValueError("plan needs at least one algorithm")
-        if self.runs_per_cell < 1:
-            raise ValueError(f"runs per cell must be >= 1, got {self.runs_per_cell}")
-        if self.max_fitness_evaluations < 1:
-            raise ValueError("evaluation budget must be >= 1")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        for name, least in (("runs_per_cell", 1), ("base_seed", 0),
+                            ("max_fitness_evaluations", 1), ("jobs", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         names = [p.name for p in self.problems]
         if len(set(names)) != len(names):
             raise ValueError(f"problem names must be unique, got {names}")
@@ -145,25 +144,34 @@ class ExperimentPlan:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentPlan":
         """Plan from a JSON document; see README for the schema."""
-        doc = json.loads(text)
-        problems = tuple(
-            ProblemSpec(name=entry["name"], source=entry["source"])
-            for entry in doc.get("problems", ())
-        )
+        fields, own = read_plan_document(text, 50, ("algorithms",))
         algorithms = []
-        for entry in doc.get("algorithms", ()):
-            entry = dict(entry)
-            algo_id = entry.pop("id", "")
-            label = entry.pop("label", "")
-            algorithms.append(AlgorithmSpec(algo_id, tuple(sorted(entry.items())), label))
-        return cls(
-            problems=problems,
-            algorithms=tuple(algorithms),
-            runs_per_cell=doc.get("runs", 50),
-            base_seed=doc.get("seed", 0),
-            max_fitness_evaluations=doc.get("max_fitness_evaluations", 5000),
-            jobs=doc.get("jobs", 1),
-        )
+        for entry in own.get("algorithms", ()):
+            params = {key: value for key, value in entry.items() if key not in ("id", "label")}
+            algorithms.append(AlgorithmSpec(entry.get("id", ""), params, entry.get("label", "")))
+        return cls(algorithms=tuple(algorithms), **fields)
+
+
+def read_plan_document(text: str, runs: int, own_keys: tuple[str, ...]) -> tuple[dict, dict]:
+    """The ExperimentPlan fields ("runs" defaults to runs) and own_keys entries of a document.
+
+    The one reader of the keys plan files and tuning specs share; an unknown key raises naming it.
+    """
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"plan file must hold a JSON object, got {type(doc).__name__}")
+    accepted = ("problems", "runs", "seed", "max_fitness_evaluations", "jobs", *own_keys)
+    for key in doc:
+        if key not in accepted:
+            raise ValueError(f"unknown top-level key {key!r}; expected {', '.join(accepted)}")
+    fields = {
+        "problems": tuple(ProblemSpec(**entry) for entry in doc.get("problems", ())),
+        "runs_per_cell": doc.get("runs", runs),
+        "base_seed": doc.get("seed", 0),
+        "max_fitness_evaluations": doc.get("max_fitness_evaluations", 5000),
+        "jobs": doc.get("jobs", 1),
+    }
+    return fields, {key: doc[key] for key in own_keys if key in doc}
 
 
 @dataclass

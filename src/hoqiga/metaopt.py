@@ -9,14 +9,14 @@ score wins.  Ties go to the smaller (less greedy) value and are flagged.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .harness import AlgorithmSpec, ExperimentPlan, ProblemSpec, run_experiment, write_csv
+from .harness import (AlgorithmSpec, ExperimentPlan, ProblemSpec, read_plan_document,
+                      run_experiment, write_csv)
 
 
 @dataclass(frozen=True)
@@ -37,9 +37,8 @@ class TuningSpec:
         object.__setattr__(self, "problems", tuple(self.problems))
         if not self.grid:
             raise ValueError("tuning grid must be non-empty")
-        if any(not 0.0 < g < 1.0 for g in self.grid):
-            raise ValueError(f"all grid values must be in (0, 1), got {self.grid}")
-        self.plan  # the plan validates the suite, runs, budget and jobs
+        for candidate in self.plan.algorithms:  # the plan checks suite, runs, budget and jobs
+            candidate.build(self.max_fitness_evaluations)  # QigaConfig owns mu, order, size, budget
 
     @cached_property
     def plan(self) -> ExperimentPlan:
@@ -59,19 +58,10 @@ class TuningSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "TuningSpec":
-        doc = json.loads(text)
-        return cls(
-            grid=tuple(doc.get("grid", ())),
-            problems=tuple(
-                ProblemSpec(name=e["name"], source=e["source"]) for e in doc.get("problems", ())
-            ),
-            runs_per_candidate=doc.get("runs", 20),
-            base_seed=doc.get("seed", 0),
-            max_fitness_evaluations=doc.get("max_fitness_evaluations", 5000),
-            order=doc.get("order", 2),
-            quantum_population_size=doc.get("quantum_population_size", 10),
-            jobs=doc.get("jobs", 1),
-        )
+        """Spec from a JSON document; see README for its keys."""
+        fields, own = read_plan_document(text, 20, ("grid", "order", "quantum_population_size"))
+        fields["runs_per_candidate"] = fields.pop("runs_per_cell")
+        return cls(grid=own.pop("grid", ()), **fields, **own)
 
 
 @dataclass

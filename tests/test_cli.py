@@ -229,6 +229,25 @@ class TestGenCommand:
         )[0] == 1
 
 
+# Each case turns a valid plan file or tuning spec into one the reader rejects,
+# with the text naming the key or field that its error message must contain.
+MALFORMED_DOCUMENTS = [
+    pytest.param(lambda doc: {**doc, "problems": [{"name": "om6"}]},
+                 "missing 1 required positional argument: 'source'", id="no-source"),
+    pytest.param(
+        lambda doc: {**doc, "problems": [{"name": "om6", "source": "onemax:6", "sorce": "x"}]},
+        "unexpected keyword argument 'sorce'", id="stray-problem-key",
+    ),
+    pytest.param(lambda doc: {**doc, "runs": "3"}, "runs_per_cell", id="string-runs"),
+    pytest.param(lambda doc: {**doc, "runs": True}, "runs_per_cell", id="bool-runs"),
+    pytest.param(lambda doc: {**doc, "max_fitness_evaluations": 10.5},
+                 "max_fitness_evaluations", id="float-budget"),
+    pytest.param(lambda doc: {**doc, "seed": -1}, "base_seed", id="negative-seed"),
+    pytest.param(lambda doc: {**doc, "run": 2}, "unknown top-level key 'run'", id="misspelt-runs"),
+    pytest.param(lambda doc: [1, 2], "JSON object", id="not-an-object"),
+]
+
+
 class TestBenchCommand:
     @staticmethod
     def write_plan(tmp_path, problems=None):
@@ -409,6 +428,23 @@ class TestBenchCommand:
         assert code == 2
         assert message in err
 
+    @pytest.mark.parametrize("malform, named", MALFORMED_DOCUMENTS)
+    def test_malformed_plan_fails_naming_the_key(self, capsys, tmp_path, malform, named):
+        plan = self.write_plan(tmp_path)
+        plan.write_text(json.dumps(malform(json.loads(plan.read_text()))))
+        code, _, err = invoke(capsys, "bench", "--plan", str(plan),
+                              "--outdir", str(tmp_path / "out"))
+        assert code == 2
+        assert named in err
+        assert not (tmp_path / "out").exists()
+
+    def test_jobs_flag_below_one_is_usage_error(self, capsys, tmp_path):
+        plan = self.write_plan(tmp_path)
+        code, _, err = invoke(capsys, "bench", "--plan", str(plan), "--jobs", "0",
+                              "--outdir", str(tmp_path / "out"))
+        assert code == 1
+        assert "jobs" in err
+
     def test_missing_plan_usage_error(self, capsys):
         assert invoke(capsys, "bench", "--plan", "nope.json")[0] == 1
 
@@ -457,6 +493,22 @@ class TestMetaCommand:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"grid": [0.5], "problems": [], "runs": 2}))
         assert invoke(capsys, "meta", "--spec", str(path))[0] == 2
+
+    @pytest.mark.parametrize("malform, named", MALFORMED_DOCUMENTS)
+    def test_malformed_spec_file_fails_naming_the_key(self, capsys, tmp_path, malform, named):
+        spec = {"grid": [0.5], "problems": [{"name": "om6", "source": "onemax:6"}],
+                "runs": 2, "max_fitness_evaluations": 100}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(malform(spec)))
+        code, _, err = invoke(capsys, "meta", "--spec", str(path))
+        assert code == 2
+        assert named in err
+
+    def test_budget_flag_below_one_generation_is_usage_error(self, capsys):
+        code, _, err = invoke(capsys, "meta", "--grid", "0.5", "--problems", "onemax:6",
+                              "--maxfe", "5")
+        assert code == 1
+        assert "cannot cover one generation" in err
 
     def test_spec_file_without_grid_is_named_runtime_error(self, capsys, tmp_path):
         path = tmp_path / "spec.json"

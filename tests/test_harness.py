@@ -28,6 +28,7 @@ from hoqiga.harness import (
     rank_algorithms,
     run_experiment,
 )
+from hoqiga.metaopt import TuningSpec
 from hoqiga.problems import FitnessFunction
 
 
@@ -158,6 +159,17 @@ class TestPlanValidation:
     def test_sga_population_validated_before_budget(self, population):
         with pytest.raises(ValueError, match="population size must be even"):
             AlgorithmSpec("sga", {"population_size": population}).build(100)
+
+    def test_readme_plan_keys_match_the_reader(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Plan files", 1)[1].split("\n## ", 1)[0]
+        rows = re.findall(r"^- `(\w+)`(?: \((plan file|tuning spec)\))?:", section, re.MULTILINE)
+        loaders = ((ExperimentPlan.from_json, "plan file"), (TuningSpec.from_json, "tuning spec"))
+        for load, kind in loaders:
+            with pytest.raises(ValueError, match="unknown top-level key 'stray'") as raised:
+                load(json.dumps({"stray": 1}))
+            accepted = str(raised.value).split("; expected ", 1)[1].split(", ")
+            assert sorted(accepted) == sorted(key for key, only in rows if only in ("", kind))
 
     def test_from_json(self):
         doc = {

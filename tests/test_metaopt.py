@@ -73,6 +73,18 @@ class TestTuningSpec:
         with pytest.raises(ValueError):
             TuningSpec(**{**fields, **overrides})
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [({"order": 0}, "order must be >= 1"),
+         ({"max_fitness_evaluations": 5}, "cannot cover one generation")],
+    )
+    def test_rejects_invalid_candidate_config_before_any_run(self, monkeypatch, overrides, message):
+        calls = []
+        monkeypatch.setattr(hoqiga.metaopt, "run_experiment", calls.append)
+        with pytest.raises(ValueError, match=message):
+            tune(TuningSpec(grid=(0.5,), problems=(ProblemSpec("om6", "onemax:6"),), **overrides))
+        assert calls == []
+
     def test_from_json(self):
         doc = {
             "grid": [0.5, 0.9],
