@@ -5,7 +5,7 @@
   scaled by the contraction factor and the amplitude matching the best-so-far
   individual absorbs the freed probability mass.  The quantum population
   stays identical, so qiga keeps one chromosome and its two population
-  knobs only set the generation size.
+  knobs only set the generation size; qiga_lockstep advances many seeds at once.
 * qiga1_evolve: the classic order-1 baseline with per-qubit rotation gates
   driven by a lookup table; each quantum individual keeps its own state.
 * sga_evolve: generational GA with roulette selection, single-point crossover
@@ -15,7 +15,7 @@ All evolvers consume exactly the configured fitness-evaluation budget and
 record the best-so-far fitness at every evaluation, so runs with different
 generation sizes plot on a common axis.  Each draws a whole generation at
 once and folds its scores in sample order, so results match sampling one
-bitstring at a time; qiga and qiga1 score each row with one problem call.
+bitstring at a time; qiga and sga score with problem.batch, qiga1 row by row.
 """
 
 from __future__ import annotations
@@ -26,18 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    BitString,
-    QuantumChromosome,
-    QuantumRegister,
-    RENORM_TRIGGER,
-    RandomSource,
-    bits_to_group,
-    chromosome_layout,
-)
+from .core import (BitString, QuantumChromosome, QuantumRegister, RENORM_TRIGGER, RandomSource,
+                   bits_to_group, check_int, chromosome_layout)
 from .problems import FitnessFunction
 
 logger = logging.getLogger(__name__)
+
+BATCH_ROWS = 100  # most rows qiga scores per problem.batch call, which bounds its temporaries
 
 RotationTable = dict[tuple[int, int, bool], float]
 
@@ -72,26 +67,17 @@ class QigaConfig:
     max_fitness_evaluations: int = 5000
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ValueError(f"order must be >= 1, got {self.order}")
-        if self.quantum_population_size < 1:
-            raise ValueError(
-                f"quantum population size must be >= 1, got {self.quantum_population_size}"
-            )
-        if self.samples_per_individual < 1:
-            raise ValueError(
-                f"samples per individual must be >= 1, got {self.samples_per_individual}"
-            )
+        for name in ("order", "quantum_population_size", "samples_per_individual"):
+            check_int(name, getattr(self, name), 1)
+        check_int("max_fitness_evaluations", self.max_fitness_evaluations, 1)
         if not 0.0 < self.contraction_factor < 1.0:
             raise ValueError(
                 f"contraction factor must be in (0, 1), got {self.contraction_factor}"
             )
         per_generation = self.quantum_population_size * self.samples_per_individual
         if self.max_fitness_evaluations < per_generation:
-            raise ValueError(
-                f"evaluation budget {self.max_fitness_evaluations} cannot cover one "
-                f"generation of {per_generation} samples"
-            )
+            raise ValueError(f"evaluation budget {self.max_fitness_evaluations} cannot cover one "
+                             f"generation of {per_generation} samples")
 
 
 @dataclass(frozen=True)
@@ -115,10 +101,8 @@ class Qiga1Config:
         object.__setattr__(self, "rotation_table", tuple(sorted(table.items())))
         if not 0.0 <= self.epsilon_guard < 0.3:
             raise ValueError(f"epsilon guard must be in [0, 0.3), got {self.epsilon_guard}")
-        if self.quantum_population_size < 1:
-            raise ValueError(
-                f"quantum population size must be >= 1, got {self.quantum_population_size}"
-            )
+        check_int("quantum_population_size", self.quantum_population_size, 1)
+        check_int("max_fitness_evaluations", self.max_fitness_evaluations, 1)
         if self.max_fitness_evaluations < self.quantum_population_size:
             raise ValueError("evaluation budget cannot cover one generation")
 
@@ -144,12 +128,12 @@ class SgaConfig:
     mutation_probability: float = 0.05
 
     def __post_init__(self):
+        check_int("population_size", self.population_size)
         if self.population_size < 2 or self.population_size % 2 != 0:
             raise ValueError(
                 f"population size must be even and >= 2, got {self.population_size}"
             )
-        if self.generations < 1:
-            raise ValueError(f"generations must be >= 1, got {self.generations}")
+        check_int("generations", self.generations, 1)
         for name, p in (
             ("crossover probability", self.crossover_probability),
             ("mutation probability", self.mutation_probability),
@@ -268,61 +252,68 @@ def update_quantum_population(
 
 
 class _PackedRegisters:
-    """qiga's quantum chromosome as dense amplitude arrays.
+    """The quantum chromosomes of `runs` lockstep qiga runs as dense amplitude arrays.
 
-    One chromosome stands for the whole quantum population, which starts
-    uniform and is contracted toward one best by one factor, so it stays
-    identical.  `blocks` holds one (shifts, amplitudes) pair per run of
+    One chromosome per run stands for its whole quantum population, which
+    starts uniform and is contracted toward one best by one factor, so it
+    stays identical.  `blocks` holds one (shifts, amplitudes) pair per run of
     equal-order registers in chromosome_layout: the full-order registers,
     then the shorter final register if the order does not divide the gene
-    count.  amplitudes has shape (count, 2**order); shifts expand a register
-    value to bits, high bit first.  All operations here are float-identical
-    to the per-register public operations, and the observation draws
-    consume the random stream exactly like observe_chromosome.
+    count.  amplitudes has shape (runs, count, 2**order); shifts expand a
+    register value to bits, high bit first, in the smallest dtype that holds
+    2**order, which observe counts in.  All operations are float-identical
+    to the per-register public operations, and each run's observation draws
+    consume its own random stream exactly like observe_chromosome.
     """
 
     OBSERVE_CHUNK = 1 << 16  # most thresholds compared per observe step; a larger row goes alone
+    LOCKSTEP_AMPLITUDES = 1 << 16  # most amplitudes of one lockstep group; a larger run goes alone
 
-    def __init__(self, n_bits: int, order: int):
+    def __init__(self, n_bits: int, order: int, runs: int = 1):
         layout = chromosome_layout(n_bits, order)
         self.registers_per_individual = len(layout)
         self.blocks = []
         for block_order in dict.fromkeys(layout):
             dim = 2**block_order
-            amplitudes = np.full((layout.count(block_order), dim), math.sqrt(1.0 / dim))
-            self.blocks.append((np.arange(block_order - 1, -1, -1), amplitudes))
+            amplitudes = np.full((runs, layout.count(block_order), dim), math.sqrt(1.0 / dim))
+            shifts = np.arange(block_order - 1, -1, -1, dtype=np.min_scalar_type(dim))
+            self.blocks.append((shifts, amplitudes))
         self.chunk = max(1, self.OBSERVE_CHUNK // sum(a.size for _, a in self.blocks))
 
-    def observe(self, k: int, rng: RandomSource) -> np.ndarray:
-        """A (k, n) array of samples; draws as k observe_chromosome calls."""
-        draws = rng.uniforms(k * self.registers_per_individual).reshape(k, -1, 1)
-        steps = range(0, k, self.chunk)
+    def observe(self, k: int, rngs: list[RandomSource]) -> np.ndarray:
+        """A (runs, k, n) array of samples; run s draws as k observe_chromosome calls on rngs[s]."""
+        runs = len(rngs)
+        draws = np.stack([rng.uniforms(k * self.registers_per_individual) for rng in rngs])
+        draws = draws.reshape(runs, k, -1, 1)
         parts = []
         first = 0
         for shifts, amplitudes in self.blocks:
-            thresholds = np.cumsum(amplitudes**2, axis=1)
-            block_draws = draws[:, first : first + len(amplitudes)]
-            values = np.concatenate(
-                [np.sum(thresholds <= block_draws[i : i + self.chunk], axis=2) for i in steps]
-            )
-            np.minimum(values, thresholds.shape[1] - 1, out=values)
-            parts.append(((values[..., None] >> shifts) & 1).astype(np.uint8).reshape(k, -1))
-            first += len(amplitudes)
-        return np.concatenate(parts, axis=1)
+            count = amplitudes.shape[1]
+            thresholds = np.cumsum(amplitudes**2, axis=2)[:, None]
+            block_draws = draws[:, :, first : first + count]
+            values = np.concatenate([
+                np.sum(thresholds <= block_draws[:, i : i + self.chunk], axis=3, dtype=shifts.dtype)
+                for i in range(0, k, self.chunk)
+            ], axis=1)
+            np.minimum(values, thresholds.shape[-1] - 1, out=values)
+            parts.append(((values[..., None] >> shifts) & 1).astype(np.uint8).reshape(runs, k, -1))
+            first += count
+        return np.concatenate(parts, axis=2)
 
-    def contract(self, b: BitString, mu: float) -> None:
-        """Contract every register toward b, in place."""
+    def contract(self, best: np.ndarray, mu: float) -> None:
+        """Contract run s's registers toward best[s], in place; best has shape (runs, n)."""
         pos = 0
         for shifts, amplitudes in self.blocks:
-            count, order = len(amplitudes), len(shifts)
-            rows = np.arange(count)
-            groups = b[pos : pos + count * order].reshape(count, order) @ (1 << shifts)
+            runs, count, _ = amplitudes.shape
+            order = len(shifts)
+            groups = best[:, pos : pos + count * order].reshape(runs, count, order) @ (1 << shifts)
             pos += count * order
+            index = (np.arange(runs)[:, None], np.arange(count), groups)
             amplitudes *= mu
             squares = amplitudes**2
-            others = squares.sum(axis=1) - squares[rows, groups]
-            amplitudes[rows, groups] = np.sqrt(np.maximum(0.0, 1.0 - others))
-            norm2 = (amplitudes**2).sum(axis=1)
+            others = squares.sum(axis=2) - squares[index]
+            amplitudes[index] = np.sqrt(np.maximum(0.0, 1.0 - others))
+            norm2 = (amplitudes**2).sum(axis=2)
             drift = np.abs(norm2 - 1.0) > RENORM_TRIGGER
             if drift.any():
                 amplitudes[drift] /= np.sqrt(norm2[drift])[:, None]
@@ -344,24 +335,46 @@ def qiga_evolve(
     quantum_population_size * samples_per_individual strings from one
     chromosome (the quantum individuals would all stay identical), folds them
     into the global best b, then contracts every register toward b's groups.
+    The one-run call of qiga_lockstep.
+    """
+    return qiga_lockstep(problem, config, [rng])[0]
+
+
+def lockstep_group_size(n_bits: int, order: int) -> int:
+    """Most qiga_lockstep runs whose amplitudes fit _PackedRegisters.LOCKSTEP_AMPLITUDES; >= 1."""
+    per_run = n_bits // order * 2**order + 2 ** (n_bits % order)  # a missing tail counts 1
+    return max(1, _PackedRegisters.LOCKSTEP_AMPLITUDES // per_run)
+
+
+def qiga_lockstep(
+    problem: FitnessFunction, config: QigaConfig, rngs: list[RandomSource]
+) -> list[RunResult]:
+    """qiga_evolve on each random source, all runs advanced one generation at a time.
+
+    The runs share generation boundaries, so each generation's rows, run-major
+    in sample order, are scored by problem.batch calls of at most BATCH_ROWS
+    rows.  Result s equals qiga_evolve(problem, config, rngs[s]) byte for byte.
     """
     n = _check_problem(problem)
     if config.order > n:
-        raise ValueError(
-            f"order must satisfy 1 <= order <= problem size, got order={config.order} "
-            f"for {n} genes"
-        )
-    packed = _PackedRegisters(n, config.order)
-    tracker = _BestTracker(config.max_fitness_evaluations)
+        raise ValueError(f"order must satisfy 1 <= order <= problem size, got order={config.order} "
+                         f"for {n} genes")
+    packed = _PackedRegisters(n, config.order, len(rngs))
+    trackers = [_BestTracker(config.max_fitness_evaluations) for _ in rngs]
     per_generation = config.quantum_population_size * config.samples_per_individual
     generations = 0
-    while tracker.remaining:
+    while trackers[0].remaining:
         generations += 1
-        bits = packed.observe(min(per_generation, tracker.remaining), rng)
-        tracker.record(bits, [problem(row) for row in bits])
-        if tracker.remaining:
-            packed.contract(tracker.best, config.contraction_factor)
-    return tracker.result(generations)
+        bits = packed.observe(min(per_generation, trackers[0].remaining), rngs)
+        rows = bits.reshape(-1, n)
+        fitness = np.concatenate(
+            [problem.batch(rows[i : i + BATCH_ROWS]) for i in range(0, len(rows), BATCH_ROWS)]
+        )
+        for tracker, run_bits, run_fitness in zip(trackers, bits, fitness.reshape(len(rngs), -1)):
+            tracker.record(run_bits, run_fitness)
+        if trackers[0].remaining:
+            packed.contract(np.stack([t.best for t in trackers]), config.contraction_factor)
+    return [tracker.result(generations) for tracker in trackers]
 
 
 def qiga1_evolve(

@@ -24,6 +24,14 @@ NORM_TOLERANCE = 1e-9
 RENORM_TRIGGER = 1e-12
 
 
+def check_int(name: str, value, least: int | None = None) -> None:
+    """Raise a ValueError naming `name` unless value is an int, not a bool, and >= least."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+
+
 class RandomSource:
     """Deterministic random stream: one 64-bit seed, one PCG64 generator.
 

@@ -20,17 +20,9 @@ from typing import Any
 
 import numpy as np
 
-from .algorithms import (
-    Qiga1Config,
-    QigaConfig,
-    RunResult,
-    SgaConfig,
-    default_rotation_table,
-    qiga1_evolve,
-    qiga_evolve,
-    sga_evolve,
-)
-from .core import RandomSource, bits_to_string
+from .algorithms import (Qiga1Config, QigaConfig, RunResult, SgaConfig, default_rotation_table,
+                         lockstep_group_size, qiga1_evolve, qiga_evolve, qiga_lockstep, sga_evolve)
+from .core import RandomSource, bits_to_string, check_int
 from .problems import FitnessFunction, load_problem
 
 logger = logging.getLogger(__name__)
@@ -131,9 +123,7 @@ class ExperimentPlan:
             raise ValueError("plan needs at least one algorithm")
         for name, least in (("runs_per_cell", 1), ("base_seed", 0),
                             ("max_fitness_evaluations", 1), ("jobs", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            check_int(name, getattr(self, name), least)
         names = [p.name for p in self.problems]
         if len(set(names)) != len(names):
             raise ValueError(f"problem names must be unique, got {names}")
@@ -155,15 +145,20 @@ class ExperimentPlan:
 def read_plan_document(text: str, runs: int, own_keys: tuple[str, ...]) -> tuple[dict, dict]:
     """The ExperimentPlan fields ("runs" defaults to runs) and own_keys entries of a document.
 
-    The one reader of the keys plan files and tuning specs share; an unknown key raises naming it.
+    The one reader of the keys plan files and tuning specs share.  An unknown key, or
+    "problems", "algorithms" or "grid" not a list (of objects, but "grid"), raises naming it.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError(f"plan file must hold a JSON object, got {type(doc).__name__}")
     accepted = ("problems", "runs", "seed", "max_fitness_evaluations", "jobs", *own_keys)
-    for key in doc:
+    for key, value in doc.items():
         if key not in accepted:
             raise ValueError(f"unknown top-level key {key!r}; expected {', '.join(accepted)}")
+        if key in ("problems", "algorithms", "grid") and not isinstance(value, list):
+            raise ValueError(f"{key!r} must be a list, got {value!r}")
+        if key in ("problems", "algorithms") and not all(isinstance(e, dict) for e in value):
+            raise ValueError(f"{key!r} must be a list of objects, got {value!r}")
     fields = {
         "problems": tuple(ProblemSpec(**entry) for entry in doc.get("problems", ())),
         "runs_per_cell": doc.get("runs", runs),
@@ -245,16 +240,10 @@ class ExperimentResult:
         raise KeyError(f"no cell ({problem!r}, {algorithm!r})")
 
     def problems(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for c in self.cells:
-            seen.setdefault(c.problem, None)
-        return list(seen)
+        return list(dict.fromkeys(c.problem for c in self.cells))
 
     def algorithms(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for c in self.cells:
-            seen.setdefault(c.algorithm, None)
-        return list(seen)
+        return list(dict.fromkeys(c.algorithm for c in self.cells))
 
     @cached_property
     def ranking(self) -> RankingTable | None:
@@ -269,17 +258,25 @@ def _execute_chunk(task: tuple[AlgorithmSpec, FitnessFunction, range, int]) -> l
     """The RunRecords of one chunk of a cell's seeds, or the error that fails its cell.
 
     The chunk, a contiguous seed range, is the unit of dispatch: its problem is pickled
-    once, its config built once and its seeds run in order, so results are unchanged.
+    once and its config built once.  A qiga id runs the chunk as lockstep groups of
+    lockstep_group_size seeds, one qiga_lockstep call each; other ids run seed by seed.
+    Results are the same as one run per seed.
     """
     algo, problem, seeds, budget = task
-    records, seed = [], None  # seed None: build raised
+    records, group = [], seeds  # the whole chunk, if build raises
     try:
         config = algo.build(budget)
-        for seed in seeds:
-            r = algo.run(problem, seed, config)
-            records.append(RunRecord(seed, r.best_fitness, bits_to_string(r.best_bits), r.trajectory))
+        lockstep = isinstance(config, QigaConfig)
+        size = lockstep_group_size(problem.size, config.order) if lockstep else 1
+        for first in range(0, len(seeds), size):
+            group = seeds[first : first + size]
+            results = (qiga_lockstep(problem, config, [RandomSource(seed) for seed in group])
+                       if lockstep else [algo.run(problem, group[0], config)])
+            records += [RunRecord(seed, r.best_fitness, bits_to_string(r.best_bits), r.trajectory)
+                        for seed, r in zip(group, results)]
     except Exception as exc:  # isolated to its cell; bench reports it and exits 3
-        logger.debug("run %s seed %s failed", algo.label, seed, exc_info=True)
+        span = f"seed {group[0]}" if len(group) == 1 else f"seeds {group[0]}-{group[-1]}"
+        logger.debug("run %s %s failed", algo.label, span, exc_info=True)
         return str(exc)
     return records
 
@@ -290,7 +287,9 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentResult:
     Run r of every cell uses seed base_seed + r.  A problem that fails to load,
     or a run that raises, fails only its cell.  The unit of dispatch is a chunk
     of one cell's seeds (ceil(4 * jobs / cells) per cell, at most one per run):
-    each problem is pickled once per chunk; neither chunks nor jobs change results.
+    each problem is pickled once per chunk, and a qiga chunk runs its seeds in
+    lockstep groups bounded by state size.  Neither chunks, groups nor jobs
+    change results.
     """
     loaded: dict[str, FitnessFunction | Exception] = {}
     for spec in plan.problems:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hoqiga.algorithms import QigaConfig, qiga_evolve
+from hoqiga.algorithms import QigaConfig, qiga_lockstep
 from hoqiga.core import RandomSource
 from hoqiga.problems import onemax, pair_trap
 
@@ -15,18 +15,16 @@ def epistasis_runs():
     """Best fitnesses of order-1 vs order-2 contraction, 200 seeded runs each.
 
     Used by both the algorithms-module separability invariant and the
-    acceptance epistasis criterion; computed once per session.
+    acceptance epistasis criterion; computed once per session.  The runs of
+    one (problem, order) pair advance in lockstep; each result equals its
+    own qiga_evolve call.
     """
     problems = {"trap24": pair_trap(24), "onemax48": onemax(48)}
     data = {}
     for key, problem in problems.items():
         for order in (1, 2):
-            config = QigaConfig(order=order)
-            data[(key, order)] = np.array(
-                [
-                    qiga_evolve(problem, config, RandomSource(seed)).best_fitness
-                    for seed in range(EPISTASIS_RUNS)
-                ]
-            )
+            rngs = [RandomSource(seed) for seed in range(EPISTASIS_RUNS)]
+            results = qiga_lockstep(problem, QigaConfig(order=order), rngs)
+            data[(key, order)] = np.array([result.best_fitness for result in results])
     data["optimum"] = {key: problems[key].optimum for key in problems}
     return data

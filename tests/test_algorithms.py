@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hoqiga.algorithms import (
+    BATCH_ROWS,
     Qiga1Config,
     _BestTracker,
     _PackedRegisters,
@@ -19,6 +20,7 @@ from hoqiga.algorithms import (
     default_rotation_table,
     qiga1_evolve,
     qiga_evolve,
+    qiga_lockstep,
     sga_evolve,
     single_point_crossover,
     update_quantum_population,
@@ -725,3 +727,91 @@ class TestBudgetParityAcrossEvolvers:
     def test_empty_problem_rejected(self):
         with pytest.raises(ValueError):
             FitnessFunction(size=0)
+
+
+def same_run(a, b) -> bool:
+    return (a.best_bits.tobytes() == b.best_bits.tobytes() and a.best_fitness == b.best_fitness
+            and a.trajectory.tobytes() == b.trajectory.tobytes()
+            and (a.evaluations, a.generations) == (b.evaluations, b.generations))
+
+
+class BatchSpy(FitnessFunction):
+    """Forwards batch() to a problem and records the shape of every call."""
+
+    def __init__(self, inner):
+        super().__init__(size=inner.size, name=f"spied-{inner.name}")
+        self.inner = inner
+        self.shapes = []
+
+    def batch(self, bits):
+        self.shapes.append(np.shape(bits))
+        return self.inner.batch(bits)
+
+
+class TestQigaLockstep:
+    @given(
+        runs=st.integers(1, 6),
+        order=st.integers(1, 4),
+        extra=st.integers(0, 9),
+        kind=st.sampled_from(["onemax", "trap", "3sat"]),
+        pop=st.integers(1, 4),
+        spi=st.integers(1, 3),
+        budget=st.sampled_from([12, 50, 203]),
+        seed=st.integers(0, 2**20),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_each_run_matches_its_own_qiga_evolve(self, runs, order, extra, kind, pop, spi,
+                                                  budget, seed):
+        # n = order + extra covers n below, at and between multiples of the order.
+        n = max(order + extra, 3)
+        source = {"onemax": f"onemax:{n}", "trap": f"trap:{(n + 1) // 2}",
+                  "3sat": f"3sat:{n}:{4 * n}:{seed}"}[kind]
+        problem = load_problem(source)
+        config = QigaConfig(order=order, quantum_population_size=pop, samples_per_individual=spi,
+                            max_fitness_evaluations=budget)
+        seeds = range(seed, seed + runs)
+        results = qiga_lockstep(problem, config, [RandomSource(s) for s in seeds])
+        assert len(results) == runs
+        for s, result in zip(seeds, results):
+            assert same_run(result, qiga_evolve(problem, config, RandomSource(s)))
+
+    def test_batch_calls_are_two_dimensional_and_capped(self):
+        # 25 runs x 10 samples = 250 rows a generation: calls of 100, 100 and 50 rows.
+        problem = BatchSpy(load_problem("3sat:20:80:4"))
+        config = QigaConfig(max_fitness_evaluations=95)
+        results = qiga_lockstep(problem, config, [RandomSource(s) for s in range(25)])
+        assert all(len(shape) == 2 and shape[1] == 20 for shape in problem.shapes)
+        assert max(rows for rows, _ in problem.shapes) == BATCH_ROWS
+        assert sum(rows for rows, _ in problem.shapes) == 25 * 95
+        for s in (0, 24):
+            assert same_run(results[s], qiga_evolve(problem.inner, config, RandomSource(s)))
+
+    def test_scalar_only_problem_sees_each_runs_rows_in_sample_order(self):
+        # Each generation is scored run after run, each run's rows in the order drawn.
+        config = QigaConfig(order=3, quantum_population_size=3, samples_per_individual=2,
+                            max_fitness_evaluations=203)
+        problem = RecordingProblem(pair_trap(4))
+        qiga_lockstep(problem, config, [RandomSource(s) for s in (7, 8, 9)])
+        per_run = []
+        for s in (7, 8, 9):
+            single = RecordingProblem(pair_trap(4))
+            qiga_evolve(single, config, RandomSource(s))
+            per_run.append(single.calls)
+        expected = [row for first in range(0, 203, 6) for calls in per_run
+                    for row in calls[first : first + 6]]
+        assert len(problem.calls) == 3 * 203
+        assert np.array_equal(np.array(problem.calls), np.array(expected))
+
+
+INT_FIELDS = [
+    (QigaConfig, name) for name in
+    ("order", "quantum_population_size", "samples_per_individual", "max_fitness_evaluations")
+] + [(Qiga1Config, "quantum_population_size"), (Qiga1Config, "max_fitness_evaluations"),
+     (SgaConfig, "population_size"), (SgaConfig, "generations")]
+
+
+@pytest.mark.parametrize("config_type, name", INT_FIELDS)
+@pytest.mark.parametrize("value", [2.5, 10.0, True, "2", None])
+def test_integer_config_fields_reject_other_types_by_name(config_type, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        config_type(**{name: value})

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import hoqiga.harness
+import hoqiga.metaopt
 from hoqiga.cli import main
 from hoqiga.harness import AlgorithmSpec
 from hoqiga.problems import FitnessFunction, parse_dimacs
@@ -516,3 +517,52 @@ class TestMetaCommand:
         code, _, err = invoke(capsys, "meta", "--spec", str(path))
         assert code == 2
         assert "tuning grid must be non-empty" in err
+
+
+class TestConfigTypesAndDocumentShapes:
+    SPEC = {"grid": [0.5], "problems": [{"name": "om6", "source": "onemax:6"}],
+            "runs": 2, "max_fitness_evaluations": 100}
+    PLAN = {"runs": 2, "max_fitness_evaluations": 100,
+            "problems": [{"name": "om6", "source": "onemax:6"}], "algorithms": [{"id": "qiga2"}]}
+
+    def test_fractional_order_in_tuning_spec_fails_at_load(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(hoqiga.metaopt, "run_experiment", calls.append)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**self.SPEC, "order": 2.5}))
+        code, _, err = invoke(capsys, "meta", "--spec", str(path))
+        assert code == 2
+        assert "order must be an integer, got 2.5" in err
+        assert calls == []
+
+    def test_fractional_order_plan_parameter_fails_its_cell(self, capsys, tmp_path):
+        plan = {**self.PLAN, "algorithms": [{"id": "qiga2"}, {"id": "qiga-r", "order": 2.5}]}
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan))
+        code, _, err = invoke(capsys, "bench", "--plan", str(path),
+                              "--outdir", str(tmp_path / "out"))
+        assert code == 3
+        assert "failed: om6 / qiga-r: order must be an integer, got 2.5" in err
+        rows = list(csv.DictReader((tmp_path / "out" / "runs.csv").open()))
+        assert {r["algorithm"] for r in rows} == {"qiga2"}
+
+    @pytest.mark.parametrize("command, key, value, named", [
+        ("bench", "problems", {"name": "om6", "source": "onemax:6"}, "'problems' must be a list"),
+        ("bench", "problems", ["onemax:6"], "'problems' must be a list of objects"),
+        ("bench", "algorithms", ["qiga2"], "'algorithms' must be a list of objects"),
+        ("bench", "algorithms", {"id": "qiga2"}, "'algorithms' must be a list"),
+        ("meta", "problems", {"name": "om6", "source": "onemax:6"}, "'problems' must be a list"),
+        ("meta", "grid", 0.5, "'grid' must be a list"),
+    ])
+    def test_malformed_document_shape_fails_naming_the_key(self, capsys, tmp_path, command,
+                                                           key, value, named):
+        doc = {**(self.PLAN if command == "bench" else self.SPEC), key: value}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        if command == "bench":
+            args = ["--plan", str(path), "--outdir", str(tmp_path / "out")]
+        else:
+            args = ["--spec", str(path)]
+        code, _, err = invoke(capsys, command, *args)
+        assert code == 2
+        assert named in err

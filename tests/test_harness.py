@@ -10,7 +10,9 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
+import hoqiga.algorithms
 import hoqiga.harness
+import hoqiga.problems
 from hoqiga.core import bits_to_string
 from hoqiga.harness import (
     ALGORITHMS,
@@ -454,3 +456,62 @@ class TestExports:
         names = {p.name for p in written}
         assert "runs.csv" in names and "aggregate.csv" in names
         assert "om4.svg" in names and "bad.svg" not in names
+
+
+class NanOneMax(FitnessFunction):
+    """Scores every bitstring NaN, so a run never finds a best individual."""
+
+    def __init__(self, size):
+        super().__init__(size=size, name="nan")
+
+    def batch(self, bits):
+        return np.full(np.shape(bits)[:-1], np.nan)
+
+
+class TestLockstepGroups:
+    def test_small_group_budget_splits_a_chunk_without_changing_results(self, monkeypatch):
+        # Four cells at jobs 1 make one 7-seed chunk per cell.  onemax:6 at order 2
+        # counts 3 * 4 amplitudes (+1 for the missing tail) per run, so a budget of
+        # 39 splits its chunk into groups of 3, 3 and 1 seeds.
+        problems = tuple(ProblemSpec(source, source)
+                         for source in ("onemax:6", "trap:3", "onemax:5", "trap:2"))
+        plan = small_plan(problems=problems, algorithms=small_plan().algorithms[:1],
+                          runs_per_cell=7)
+        whole = run_experiment(plan)
+        groups = []
+
+        def spy(problem, config, rngs):
+            groups.append([rng.seed for rng in rngs])
+            return hoqiga.algorithms.qiga_lockstep(problem, config, rngs)
+
+        monkeypatch.setattr(hoqiga.harness, "qiga_lockstep", spy)
+        monkeypatch.setattr(hoqiga.algorithms._PackedRegisters, "LOCKSTEP_AMPLITUDES", 39)
+        split = run_experiment(plan)
+        assert groups[:3] == [[11, 12, 13], [14, 15, 16], [17]]
+
+        def records(cell):
+            return [(r.seed, r.best_fitness, r.best_bits, r.trajectory.tobytes())
+                    for r in cell.runs]
+
+        assert [records(cell) for cell in split.cells] == [records(cell) for cell in whole.cells]
+        problem, aspec = problems[0].load(), plan.algorithms[0]
+        direct = [aspec.run(problem, seed, aspec.build(100)) for seed in range(11, 18)]
+        assert records(split.cells[0]) == [
+            (seed, r.best_fitness, bits_to_string(r.best_bits), r.trajectory.tobytes())
+            for seed, r in zip(range(11, 18), direct)
+        ]
+
+    def test_failing_group_logs_its_seed_range(self, caplog, monkeypatch):
+        caplog.set_level(logging.DEBUG, logger="hoqiga.harness")
+        monkeypatch.setattr(hoqiga.harness, "load_problem",
+                            lambda source, name="": NanOneMax(6) if source == "nan" else
+                            hoqiga.problems.load_problem(source, name))
+        # Four cells at jobs 1 make one chunk per cell, so qiga2 runs seeds 11-17 as one group.
+        plan = small_plan(problems=(ProblemSpec("nan6", "nan"), ProblemSpec("om6", "onemax:6")),
+                          runs_per_cell=7)
+        result = run_experiment(plan)
+        error = result.cell("nan6", "qiga2").error
+        assert error.startswith("no fitness above -inf in 5 evaluations")
+        assert len(result.cell("om6", "qiga2").runs) == 7
+        assert "run qiga2 seeds 11-17 failed" in caplog.text
+        assert "run sga seed 11 failed" in caplog.text
