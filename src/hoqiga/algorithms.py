@@ -7,7 +7,8 @@
   stays identical, so qiga keeps one chromosome and its two population
   knobs only set the generation size; qiga_lockstep advances many seeds at once.
 * qiga1_evolve: the classic order-1 baseline with per-qubit rotation gates
-  driven by a lookup table; each quantum individual keeps its own state.
+  driven by a lookup table; each quantum individual keeps its own state, and
+  qiga1_lockstep advances many seeds at once.
 * sga_evolve: generational GA with roulette selection, single-point crossover
   and per-bit mutation.
 
@@ -267,7 +268,7 @@ class _PackedRegisters:
     """
 
     OBSERVE_CHUNK = 1 << 16  # most thresholds compared per observe step; a larger row goes alone
-    LOCKSTEP_AMPLITUDES = 1 << 16  # most amplitudes of one lockstep group; a larger run goes alone
+    LOCKSTEP_AMPLITUDES = 1 << 16  # most amplitudes of one qiga or qiga1 lockstep group
 
     def __init__(self, n_bits: int, order: int, runs: int = 1):
         layout = chromosome_layout(n_bits, order)
@@ -319,7 +320,9 @@ class _PackedRegisters:
                 amplitudes[drift] /= np.sqrt(norm2[drift])[:, None]
 
 
-def _check_problem(problem: FitnessFunction) -> int:
+def _check_problem(problem: FitnessFunction, runs: int = 1) -> int:
+    if runs < 1:
+        raise ValueError("a lockstep call needs at least one random source, got none")
     n = getattr(problem, "size", 0)
     if not n or n < 1:
         raise ValueError("problem has no genes to optimize (size must be >= 1)")
@@ -340,9 +343,12 @@ def qiga_evolve(
     return qiga_lockstep(problem, config, [rng])[0]
 
 
-def lockstep_group_size(n_bits: int, order: int) -> int:
-    """Most qiga_lockstep runs whose amplitudes fit _PackedRegisters.LOCKSTEP_AMPLITUDES; >= 1."""
-    per_run = n_bits // order * 2**order + 2 ** (n_bits % order)  # a missing tail counts 1
+def lockstep_group_size(config: QigaConfig | Qiga1Config, n_bits: int) -> int:
+    """Most lockstep runs of config whose amplitudes fit _PackedRegisters.LOCKSTEP_AMPLITUDES."""
+    if isinstance(config, Qiga1Config):
+        per_run = 2 * config.quantum_population_size * n_bits
+    else:  # a missing tail register counts 1
+        per_run = n_bits // config.order * 2**config.order + 2 ** (n_bits % config.order)
     return max(1, _PackedRegisters.LOCKSTEP_AMPLITUDES // per_run)
 
 
@@ -355,7 +361,7 @@ def qiga_lockstep(
     in sample order, are scored by problem.batch calls of at most BATCH_ROWS
     rows.  Result s equals qiga_evolve(problem, config, rngs[s]) byte for byte.
     """
-    n = _check_problem(problem)
+    n = _check_problem(problem, len(rngs))
     if config.order > n:
         raise ValueError(f"order must satisfy 1 <= order <= problem size, got order={config.order} "
                          f"for {n} genes")
@@ -385,33 +391,47 @@ def qiga1_evolve(
     Each gene is an independent qubit [alpha, beta].  After evaluating a
     generation, every qubit is rotated by the table angle for (observed bit,
     best bit, observed-at-least-best), then clamped away from the poles by
-    the epsilon guard so no outcome ever becomes unreachable.
+    the epsilon guard so no outcome ever becomes unreachable; the one-run call of qiga1_lockstep.
     """
-    n = _check_problem(problem)
-    pop = config.quantum_population_size
+    return qiga1_lockstep(problem, config, [rng])[0]
+
+
+def qiga1_lockstep(
+    problem: FitnessFunction, config: Qiga1Config, rngs: list[RandomSource]
+) -> list[RunResult]:
+    """qiga1_evolve on each random source, all runs advanced one generation at a time.
+
+    The qubits of all runs form one (runs, pop, n, 2) state.  Each sampled row is
+    scored by one problem(row) call, run-major in sample order.  Result s equals
+    qiga1_evolve(problem, config, rngs[s]) byte for byte.
+    """
+    n = _check_problem(problem, len(rngs))
+    runs, pop, eps = len(rngs), config.quantum_population_size, config.epsilon_guard
     table = config.table_array()
-    eps = config.epsilon_guard
-    state = np.full((pop, n, 2), math.sqrt(0.5))
-    tracker = _BestTracker(config.max_fitness_evaluations)
+    cos_table, sin_table = np.cos(table).ravel(), np.sin(table).ravel()
+    state = np.full((runs, pop, n, 2), math.sqrt(0.5))
+    trackers = [_BestTracker(config.max_fitness_evaluations) for _ in rngs]
     generations = 0
-    while tracker.remaining:
+    while trackers[0].remaining:
         generations += 1
-        k = min(pop, tracker.remaining)
-        draws = rng.uniforms(k * n).reshape(k, n)
-        bits = (draws >= state[:k, :, 0] ** 2).astype(np.uint8)
-        fitness = np.array([problem(row) for row in bits])
-        tracker.record(bits, fitness)
-        if not tracker.remaining:
+        k = min(pop, trackers[0].remaining)
+        draws = np.stack([rng.uniforms(k * n) for rng in rngs]).reshape(runs, k, n)
+        bits = (draws >= state[:, :k, :, 0] ** 2).astype(np.uint8)
+        fitness = np.array([problem(row) for row in bits.reshape(-1, n)]).reshape(runs, k)
+        for tracker, run_bits, run_fitness in zip(trackers, bits, fitness):
+            tracker.record(run_bits, run_fitness)
+        if not trackers[0].remaining:
             break
         # Only a full generation gets here, so every individual rotates.
-        at_least_best = (fitness >= tracker.best_fitness).astype(np.intp)
-        delta = table[bits, tracker.best, at_least_best[:, None]]
-        cos_d, sin_d = np.cos(delta), np.sin(delta)
+        at_least_best = fitness >= np.array([tracker.best_fitness for tracker in trackers])[:, None]
+        best = np.stack([tracker.best for tracker in trackers])
+        index = 4 * bits + (2 * best[:, None] + at_least_best[..., None])  # flat [x, b, cmp]
+        cos_d, sin_d = cos_table[index], sin_table[index]
         alpha, beta = state[..., 0], state[..., 1]
         state[..., 0], state[..., 1] = cos_d * alpha - sin_d * beta, sin_d * alpha + cos_d * beta
         if eps > 0.0:
             _clamp_poles(state, eps)
-    return tracker.result(generations)
+    return [tracker.result(generations) for tracker in trackers]
 
 
 def _clamp_poles(state: np.ndarray, eps: float) -> None:

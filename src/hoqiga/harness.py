@@ -21,7 +21,8 @@ from typing import Any
 import numpy as np
 
 from .algorithms import (Qiga1Config, QigaConfig, RunResult, SgaConfig, default_rotation_table,
-                         lockstep_group_size, qiga1_evolve, qiga_evolve, qiga_lockstep, sga_evolve)
+                         lockstep_group_size, qiga1_evolve, qiga1_lockstep, qiga_evolve,
+                         qiga_lockstep, sga_evolve)
 from .core import RandomSource, bits_to_string, check_int
 from .problems import FitnessFunction, load_problem
 
@@ -258,19 +259,19 @@ def _execute_chunk(task: tuple[AlgorithmSpec, FitnessFunction, range, int]) -> l
     """The RunRecords of one chunk of a cell's seeds, or the error that fails its cell.
 
     The chunk, a contiguous seed range, is the unit of dispatch: its problem is pickled
-    once and its config built once.  A qiga id runs the chunk as lockstep groups of
-    lockstep_group_size seeds, one qiga_lockstep call each; other ids run seed by seed.
-    Results are the same as one run per seed.
+    once and its config built once.  A qiga or qiga1 id runs the chunk as lockstep groups
+    of lockstep_group_size seeds, one qiga_lockstep or qiga1_lockstep call each; sga runs
+    seed by seed.  Results are the same as one run per seed.
     """
     algo, problem, seeds, budget = task
     records, group = [], seeds  # the whole chunk, if build raises
     try:
         config = algo.build(budget)
-        lockstep = isinstance(config, QigaConfig)
-        size = lockstep_group_size(problem.size, config.order) if lockstep else 1
+        lockstep = {QigaConfig: qiga_lockstep, Qiga1Config: qiga1_lockstep}.get(type(config))
+        size = lockstep_group_size(config, problem.size) if lockstep else 1
         for first in range(0, len(seeds), size):
             group = seeds[first : first + size]
-            results = (qiga_lockstep(problem, config, [RandomSource(seed) for seed in group])
+            results = (lockstep(problem, config, [RandomSource(seed) for seed in group])
                        if lockstep else [algo.run(problem, group[0], config)])
             records += [RunRecord(seed, r.best_fitness, bits_to_string(r.best_bits), r.trajectory)
                         for seed, r in zip(group, results)]
@@ -287,8 +288,8 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentResult:
     Run r of every cell uses seed base_seed + r.  A problem that fails to load,
     or a run that raises, fails only its cell.  The unit of dispatch is a chunk
     of one cell's seeds (ceil(4 * jobs / cells) per cell, at most one per run):
-    each problem is pickled once per chunk, and a qiga chunk runs its seeds in
-    lockstep groups bounded by state size.  Neither chunks, groups nor jobs
+    each problem is pickled once per chunk, and a qiga or qiga1 chunk runs its
+    seeds in lockstep groups bounded by state size.  Neither chunks, groups nor jobs
     change results.
     """
     loaded: dict[str, FitnessFunction | Exception] = {}

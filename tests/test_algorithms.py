@@ -19,6 +19,7 @@ from hoqiga.algorithms import (
     contraction_update,
     default_rotation_table,
     qiga1_evolve,
+    qiga1_lockstep,
     qiga_evolve,
     qiga_lockstep,
     sga_evolve,
@@ -801,6 +802,69 @@ class TestQigaLockstep:
                     for row in calls[first : first + 6]]
         assert len(problem.calls) == 3 * 203
         assert np.array_equal(np.array(problem.calls), np.array(expected))
+
+
+
+DISTINCT_TABLE = {k: 0.01 * (1 + k[0] + 2 * k[1] + 4 * k[2]) for k in default_rotation_table()}
+
+
+class TestQiga1Lockstep:
+    @given(
+        runs=st.integers(1, 6),
+        pop=st.integers(1, 7),
+        n=st.integers(1, 12),
+        kind=st.sampled_from(["onemax", "3sat"]),
+        budget=st.sampled_from(["one", "short", 50, 203]),
+        guard=st.sampled_from([0.0, Qiga1Config().epsilon_guard]),
+        distinct=st.booleans(),
+        seed=st.integers(0, 2**20),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_each_run_matches_its_own_qiga1_evolve_and_the_reference(
+        self, runs, pop, n, kind, budget, guard, distinct, seed
+    ):
+        # "short" is one full generation plus a ragged one: shorter than two generations.
+        problem = load_problem(f"onemax:{n}" if kind == "onemax" else f"3sat:{max(n, 3)}:12:{seed}")
+        budget = {"one": pop, "short": 2 * pop - 1}.get(budget, budget)
+        table = DISTINCT_TABLE if distinct else default_rotation_table()
+        config = Qiga1Config.with_table(table, epsilon_guard=guard, quantum_population_size=pop,
+                                        max_fitness_evaluations=budget)
+        seeds = range(seed, seed + runs)
+        results = qiga1_lockstep(problem, config, [RandomSource(s) for s in seeds])
+        assert len(results) == runs
+        for s, result in zip(seeds, results):
+            assert same_run(result, qiga1_evolve(problem, config, RandomSource(s)))
+            ref_bits, ref_fitness, ref_trajectory = reference_qiga1_evolve(
+                problem, config, RandomSource(s)
+            )
+            assert result.best_bits.tobytes() == ref_bits.tobytes()
+            assert result.best_fitness == ref_fitness
+            assert result.trajectory.tobytes() == ref_trajectory.tobytes()
+            assert (result.evaluations, result.generations) == (budget, -(-budget // pop))
+
+    def test_scalar_only_problem_sees_each_runs_rows_in_sample_order(self):
+        # Each generation is scored run after run, each run's rows in the order drawn.
+        config = Qiga1Config(quantum_population_size=6, max_fitness_evaluations=203)
+        problem = RecordingProblem(pair_trap(4))
+        qiga1_lockstep(problem, config, [RandomSource(s) for s in (7, 8, 9)])
+        per_run = []
+        for s in (7, 8, 9):
+            single = RecordingProblem(pair_trap(4))
+            qiga1_evolve(single, config, RandomSource(s))
+            per_run.append(single.calls)
+        expected = [row for first in range(0, 203, 6) for calls in per_run
+                    for row in calls[first : first + 6]]
+        assert len(problem.calls) == 3 * 203
+        assert np.array_equal(np.array(problem.calls), np.array(expected))
+
+
+@pytest.mark.parametrize("engine, config", [
+    (qiga_lockstep, QigaConfig(max_fitness_evaluations=20)),
+    (qiga1_lockstep, Qiga1Config(max_fitness_evaluations=20)),
+])
+def test_lockstep_without_random_sources_names_the_cause(engine, config):
+    with pytest.raises(ValueError, match="at least one random source, got none"):
+        engine(onemax(4), config, [])
 
 
 INT_FIELDS = [

@@ -515,3 +515,54 @@ class TestLockstepGroups:
         assert len(result.cell("om6", "qiga2").runs) == 7
         assert "run qiga2 seeds 11-17 failed" in caplog.text
         assert "run sga seed 11 failed" in caplog.text
+
+    def test_small_group_budget_splits_a_qiga1_chunk_without_changing_results(self, monkeypatch):
+        # Four cells at jobs 1 make one 7-seed chunk per cell.  qiga1 with 3 quantum
+        # individuals on onemax:6 counts 2 * 3 * 6 = 36 amplitudes per run, so a budget
+        # of 108 splits its chunk into groups of 3, 3 and 1 seeds.
+        problems = tuple(ProblemSpec(source, source)
+                         for source in ("onemax:6", "trap:3", "onemax:5", "trap:2"))
+        plan = small_plan(problems=problems, runs_per_cell=7,
+                          algorithms=(AlgorithmSpec("qiga1", (("quantum_population_size", 3),)),))
+        whole = run_experiment(plan)
+        groups = []
+
+        def spy(problem, config, rngs):
+            groups.append([rng.seed for rng in rngs])
+            return hoqiga.algorithms.qiga1_lockstep(problem, config, rngs)
+
+        monkeypatch.setattr(hoqiga.harness, "qiga1_lockstep", spy)
+        monkeypatch.setattr(hoqiga.algorithms._PackedRegisters, "LOCKSTEP_AMPLITUDES", 108)
+        split = run_experiment(plan)
+        assert groups[:3] == [[11, 12, 13], [14, 15, 16], [17]]
+
+        def records(cell):
+            return [(r.seed, r.best_fitness, r.best_bits, r.trajectory.tobytes())
+                    for r in cell.runs]
+
+        assert [records(cell) for cell in split.cells] == [records(cell) for cell in whole.cells]
+        problem, aspec = problems[0].load(), plan.algorithms[0]
+        direct = [aspec.run(problem, seed, aspec.build(100)) for seed in range(11, 18)]
+        assert records(split.cells[0]) == [
+            (seed, r.best_fitness, bits_to_string(r.best_bits), r.trajectory.tobytes())
+            for seed, r in zip(range(11, 18), direct)
+        ]
+
+    def test_qiga1_groups_fill_the_amplitude_budget(self):
+        # 65536 // (2 * 10 * 250) = 13 qiga1 seeds per group on a 250-gene problem.
+        config = AlgorithmSpec("qiga1").build(5000)
+        assert hoqiga.algorithms.lockstep_group_size(config, 250) == 13
+        assert hoqiga.algorithms.lockstep_group_size(config, 10**5) == 1
+
+    def test_failing_qiga1_group_logs_its_seed_range(self, caplog, monkeypatch):
+        caplog.set_level(logging.DEBUG, logger="hoqiga.harness")
+        monkeypatch.setattr(hoqiga.harness, "load_problem",
+                            lambda source, name="": NanOneMax(6) if source == "nan" else
+                            hoqiga.problems.load_problem(source, name))
+        # Two cells at jobs 1 make two chunks per cell, so qiga1 runs seeds 11-13 as one group.
+        plan = small_plan(problems=(ProblemSpec("nan6", "nan"),), runs_per_cell=7,
+                          algorithms=(AlgorithmSpec("qiga1"), AlgorithmSpec("qiga2")))
+        result = run_experiment(plan)
+        assert result.cell("nan6", "qiga1").error.startswith(
+            "no fitness above -inf in 10 evaluations")
+        assert "run qiga1 seeds 11-13 failed" in caplog.text
