@@ -406,7 +406,7 @@ def qiga1_lockstep(
     qiga1_evolve(problem, config, rngs[s]) byte for byte.
     """
     n = _check_problem(problem, len(rngs))
-    runs, pop, eps = len(rngs), config.quantum_population_size, config.epsilon_guard
+    runs, pop = len(rngs), config.quantum_population_size
     table = config.table_array()
     cos_table, sin_table = np.cos(table).ravel(), np.sin(table).ravel()
     state = np.full((runs, pop, n, 2), math.sqrt(0.5))
@@ -429,22 +429,17 @@ def qiga1_lockstep(
         cos_d, sin_d = cos_table[index], sin_table[index]
         alpha, beta = state[..., 0], state[..., 1]
         state[..., 0], state[..., 1] = cos_d * alpha - sin_d * beta, sin_d * alpha + cos_d * beta
-        if eps > 0.0:
-            _clamp_poles(state, eps)
+        _clamp_poles(state, config.epsilon_guard)
     return [tracker.result(generations) for tracker in trackers]
 
 
 def _clamp_poles(state: np.ndarray, eps: float) -> None:
     """Keep both qubit amplitudes at magnitude >= eps, preserving signs."""
     big = math.sqrt(1.0 - eps * eps)
-    alpha, beta = state[..., 0], state[..., 1]
-    small_a = np.abs(alpha) < eps
-    state[..., 0] = np.where(small_a, np.copysign(eps, alpha), alpha)
-    state[..., 1] = np.where(small_a, np.copysign(big, beta), beta)
-    alpha, beta = state[..., 0], state[..., 1]
-    small_b = np.abs(beta) < eps
-    state[..., 1] = np.where(small_b, np.copysign(eps, beta), beta)
-    state[..., 0] = np.where(small_b, np.copysign(big, alpha), alpha)
+    for small, other in ((state[..., 0], state[..., 1]), (state[..., 1], state[..., 0])):
+        near = np.abs(small) < eps
+        small[near] = np.copysign(eps, small[near])
+        other[near] = np.copysign(big, other[near])
 
 
 def sga_evolve(

@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from .core import RandomSource, bits_to_string
+from .core import RandomSource, bits_to_string, check_int
 from .harness import (
     ALGORITHMS,
     AlgorithmSpec,
@@ -104,6 +104,7 @@ def _cmd_run(args) -> int:
     spec = AlgorithmSpec(args.algo, {k: v for k, v in params.items() if v is not None})
     try:
         config = spec.build(args.maxfe)
+        check_int("seed", args.seed, 0)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     result = spec.run(problem, args.seed, config)
@@ -188,7 +189,10 @@ def _cmd_gen(args) -> int:
     if (args.clauses is None) == (args.ratio is None):
         raise UsageError("give exactly one of --clauses or --ratio")
     clause_count = args.clauses if args.clauses is not None else round(args.ratio * args.vars)
-    formula = generate_uniform_3sat(args.vars, clause_count, RandomSource(args.seed))
+    try:
+        formula = generate_uniform_3sat(args.vars, clause_count, RandomSource(args.seed))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     Path(args.out).write_text(to_dimacs(formula))
     print(f"wrote {args.out} ({formula.variable_count} vars, {formula.clause_count} clauses)")
     return 0
@@ -247,8 +251,6 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except SystemExit:
-        raise
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -146,10 +146,11 @@ class ExperimentPlan:
 def read_plan_document(text: str, runs: int, own_keys: tuple[str, ...]) -> tuple[dict, dict]:
     """The ExperimentPlan fields ("runs" defaults to runs) and own_keys entries of a document.
 
-    The one reader of the keys plan files and tuning specs share.  An unknown key, or
-    "problems", "algorithms" or "grid" not a list (of objects, but "grid"), raises naming it.
+    The one reader of the keys plan files and tuning specs share.  An unknown key, a key
+    repeated in any object, or "problems", "algorithms" or "grid" not a list (of objects,
+    but "grid"), raises naming it.
     """
-    doc = json.loads(text)
+    doc = json.loads(text, object_pairs_hook=_unique_keys)
     if not isinstance(doc, dict):
         raise ValueError(f"plan file must hold a JSON object, got {type(doc).__name__}")
     accepted = ("problems", "runs", "seed", "max_fitness_evaluations", "jobs", *own_keys)
@@ -168,6 +169,16 @@ def read_plan_document(text: str, runs: int, own_keys: tuple[str, ...]) -> tuple
         "jobs": doc.get("jobs", 1),
     }
     return fields, {key: doc[key] for key in own_keys if key in doc}
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object's pairs as a dict; a key given twice raises a ValueError naming it."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r} in a JSON object")
+        obj[key] = value
+    return obj
 
 
 @dataclass
@@ -434,6 +445,19 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 160, 40, 55
 _MAX_POINTS = 400
 
 
+def _svg_text(x, y, body, size: int, anchor: str = "", extra: str = "") -> str:
+    """A sans-serif <text> tag with x and y written as given and body escaped."""
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    extra = f" {extra}" if extra else ""
+    return (f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" '
+            f'font-size="{size}"{extra}>{escape(str(body))}</text>')
+
+
+def _svg_line(x1, y1, x2, y2, stroke: str, width) -> str:
+    return (f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+            f'stroke="{stroke}" stroke-width="{width}"/>')
+
+
 def export_convergence_svg(
     result: ExperimentResult, problem: str, path: str | Path
 ) -> Path:
@@ -460,43 +484,24 @@ def export_convergence_svg(
         return _MARGIN_T + plot_h * (1.0 - (value - lo) / (hi - lo))
 
     sample = np.unique(np.linspace(0, length - 1, min(_MAX_POINTS, length)).round().astype(int))
+    axis_y, mid_y = _MARGIN_T + plot_h, f"{_MARGIN_T + plot_h / 2:.1f}"
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_SVG_W}" height="{_SVG_H}" viewBox="0 0 {_SVG_W} {_SVG_H}">',
         f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
-        f'<text x="{_SVG_W // 2}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{escape(problem)}</text>',
+        _svg_text(_SVG_W // 2, 24, problem, 16, "middle"),
+        _svg_line(_MARGIN_L, axis_y, _MARGIN_L + plot_w, axis_y, "black", 1),
+        _svg_line(_MARGIN_L, _MARGIN_T, _MARGIN_L, axis_y, "black", 1),
     ]
-    axis_y = _MARGIN_T + plot_h
-    parts.append(
-        f'<line x1="{_MARGIN_L}" y1="{axis_y}" x2="{_MARGIN_L + plot_w}" y2="{axis_y}" '
-        f'stroke="black" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<line x1="{_MARGIN_L}" y1="{_MARGIN_T}" x2="{_MARGIN_L}" y2="{axis_y}" '
-        f'stroke="black" stroke-width="1"/>'
-    )
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        x = _MARGIN_L + plot_w * frac
-        parts.append(
-            f'<text x="{x:.1f}" y="{axis_y + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{int(round(frac * length))}</text>'
-        )
         value = lo + (hi - lo) * frac
-        y = y_at(value)
-        parts.append(
-            f'<text x="{_MARGIN_L - 8}" y="{y + 4:.1f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{value:.6g}</text>'
-        )
-    parts.append(
-        f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_SVG_H - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">fitness evaluations</text>'
-    )
-    parts.append(
-        f'<text x="18" y="{_MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 18 {_MARGIN_T + plot_h / 2:.1f})">mean best fitness</text>'
-    )
+        x_tick = f"{_MARGIN_L + plot_w * frac:.1f}"
+        parts.append(_svg_text(x_tick, axis_y + 18, int(round(frac * length)), 11, "middle"))
+        parts.append(_svg_text(_MARGIN_L - 8, f"{y_at(value) + 4:.1f}", f"{value:.6g}", 11, "end"))
+    parts.append(_svg_text(f"{_MARGIN_L + plot_w / 2:.1f}", _SVG_H - 12,
+                           "fitness evaluations", 13, "middle"))
+    parts.append(_svg_text(18, mid_y, "mean best fitness", 13, "middle",
+                           f'transform="rotate(-90 18 {mid_y})"'))
     for k, (label, trajectory) in enumerate(curves):
         color = _PALETTE[k % len(_PALETTE)]
         points = " ".join(
@@ -507,14 +512,8 @@ def export_convergence_svg(
         )
         ly = _MARGIN_T + 16 + 18 * k
         lx = _MARGIN_L + plot_w + 12
-        parts.append(
-            f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
-            f'stroke="{color}" stroke-width="1.5"/>'
-        )
-        parts.append(
-            f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" '
-            f'font-size="12">{escape(label)}</text>'
-        )
+        parts.append(_svg_line(lx, ly - 4, lx + 22, ly - 4, color, 1.5))
+        parts.append(_svg_text(lx + 28, ly, label, 12))
     parts.append("</svg>")
     path = Path(path)
     path.write_text("\n".join(parts) + "\n")

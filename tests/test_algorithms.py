@@ -83,6 +83,24 @@ class RecordingProblem(FitnessFunction):
         return self.inner(bits)
 
 
+class CallCountingProblem(FitnessFunction):
+    """Wraps a problem that defines batch; counts scalar calls and logs each batch shape."""
+
+    def __init__(self, inner):
+        super().__init__(size=inner.size, name=f"counted-{inner.name}")
+        self.inner = inner
+        self.scalar_calls = 0
+        self.batch_shapes = []
+
+    def __call__(self, bits):
+        self.scalar_calls += 1
+        return super().__call__(bits)  # float(self.batch(bits)) on the one row
+
+    def batch(self, bits):
+        self.batch_shapes.append(np.shape(bits))
+        return self.inner.batch(bits)
+
+
 class TestContractionUpdate:
     def test_uniform_register_hand_trace(self):
         updated = contraction_update(register_uniform(2), 2, 0.99)
@@ -425,6 +443,30 @@ class TestQiga1Evolve:
         assert expected[0] ** 2 + expected[1] ** 2 == pytest.approx(1.0, abs=1e-12)
         # Positive angles move mass toward bit value 1.
         assert expected[1] > beta
+
+    def test_pole_guard_by_hand(self):
+        # With eps = 0.1 an amplitude below 0.1 in magnitude becomes +-0.1 and its
+        # partner +-sqrt(1 - 0.1 * 0.1) = +-0.99499, each keeping its own sign.
+        eps = 0.1
+        big = math.sqrt(1.0 - eps * eps)
+        cases = [
+            ((0.05, 0.9987), (eps, big)),  # alpha below eps
+            ((-0.05, -0.9987), (-eps, -big)),  # alpha below eps, both negative
+            ((-0.0, 1.0), (-eps, big)),  # -0.0 clamps to -eps
+            ((0.9987, 0.05), (big, eps)),  # beta below eps
+            ((-0.9987, -0.0), (-big, -eps)),  # beta -0.0, alpha negative
+            ((0.01, -0.02), (eps, -big)),  # both below: alpha is clamped first, lifting beta
+            ((0.1, 0.3), (0.1, 0.3)),  # exactly at the guard: left alone
+            ((0.6, -0.8), (0.6, -0.8)),  # far from the poles
+        ]
+        state = np.array([before for before, _ in cases]).reshape(2, 4, 2)
+        _clamp_poles(state, eps)
+        assert state.reshape(-1, 2).tolist() == [list(after) for _, after in cases]
+        # eps = 0 touches nothing, not even the sign of a zero.
+        poles = np.array([[0.0, 1.0], [-0.0, -1.0], [1e-300, -1.0], [1.0, -0.0]])
+        clamped = poles.copy()
+        _clamp_poles(clamped, 0.0)
+        assert clamped.tobytes() == poles.tobytes()
 
     def test_zero_table_equals_random_sampling(self):
         table = {k: 0.0 for k in default_rotation_table()}
@@ -856,6 +898,17 @@ class TestQiga1Lockstep:
                     for row in calls[first : first + 6]]
         assert len(problem.calls) == 3 * 203
         assert np.array_equal(np.array(problem.calls), np.array(expected))
+
+    def test_batch_problem_is_scored_by_one_scalar_call_per_row(self):
+        # `benchmarks/run.py --trace 1` divides fitness time by the number of scalar
+        # FitnessFunction.__call__ calls and fails when there are none, so qiga1 keeps
+        # scoring row by row even when the problem defines batch.  This test changes
+        # together with qiga1's scoring once that script copes with no scalar calls.
+        problem = CallCountingProblem(onemax(5))
+        config = Qiga1Config(quantum_population_size=4, max_fitness_evaluations=203)
+        qiga1_lockstep(problem, config, [RandomSource(s) for s in (1, 2, 3)])
+        assert problem.scalar_calls == 3 * 203
+        assert problem.batch_shapes == [(5,)] * (3 * 203)  # each from one scalar call
 
 
 @pytest.mark.parametrize("engine, config", [

@@ -96,6 +96,7 @@ class TestRunCommand:
             ("--algo", "qiga2", "--maxfe", "5"),
             ("--algo", "qiga2", "--mu", "1.5"),
             ("--algo", "qiga1", "--mu", "0.9"),
+            ("--algo", "qiga2", "--seed", "-1"),
         ],
     )
     def test_bad_flag_values_are_usage_errors(self, capsys, argv):
@@ -228,6 +229,21 @@ class TestGenCommand:
             capsys, "gen", "--vars", "10", "--clauses", "5", "--ratio", "4.0",
             "--out", "x.cnf",
         )[0] == 1
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (("--vars", "2", "--clauses", "5"), "at least 3 variables"),
+            (("--vars", "10", "--ratio", "-1"), "clause count must be >= 1"),
+            (("--vars", "10", "--clauses", "5", "--seed", "-1"), "seed must be"),
+        ],
+    )
+    def test_bad_flag_values_are_usage_errors(self, capsys, tmp_path, argv, named):
+        path = tmp_path / "x.cnf"
+        code, _, err = invoke(capsys, "gen", *argv, "--out", str(path))
+        assert code == 1
+        assert err.startswith("error: ") and named in err
+        assert not path.exists()
 
 
 # Each case turns a valid plan file or tuning spec into one the reader rejects,
@@ -566,3 +582,39 @@ class TestConfigTypesAndDocumentShapes:
         code, _, err = invoke(capsys, command, *args)
         assert code == 2
         assert named in err
+
+    # json.dumps cannot repeat a key, so these documents are written out by hand.
+    @pytest.mark.parametrize("text, key", [
+        ('{"runs": 3, "runs": 5, "max_fitness_evaluations": 100, "problems": '
+         '[{"name": "om6", "source": "onemax:6"}], "algorithms": [{"id": "qiga2"}]}', "runs"),
+        ('{"runs": 2, "max_fitness_evaluations": 100, "problems": [{"name": "om6", '
+         '"source": "onemax:6", "source": "trap:3"}], "algorithms": [{"id": "qiga2"}]}', "source"),
+        ('{"runs": 2, "max_fitness_evaluations": 100, "problems": [{"name": "om6", '
+         '"source": "onemax:6"}], "algorithms": [{"id": "qiga2", "mu": 0.5, "mu": 0.9}]}', "mu"),
+    ], ids=["top-level", "problem-entry", "algorithm-entry"])
+    def test_repeated_plan_key_fails_naming_it(self, capsys, tmp_path, text, key):
+        path = tmp_path / "plan.json"
+        path.write_text(text)
+        code, _, err = invoke(capsys, "bench", "--plan", str(path),
+                              "--outdir", str(tmp_path / "out"))
+        assert code == 2
+        assert f"repeated key {key!r}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"grid": [0.5], "problems": [{"name": "om6", "source": "onemax:6"}], '
+         '"runs": 2, "runs": 3, "max_fitness_evaluations": 100}', "runs"),
+        ('{"grid": [0.5], "grid": [0.9], "problems": [{"name": "om6", "source": "onemax:6"}], '
+         '"runs": 2, "max_fitness_evaluations": 100}', "grid"),
+        ('{"grid": [0.5], "problems": [{"name": "om6", "name": "t3", "source": "onemax:6"}], '
+         '"runs": 2, "max_fitness_evaluations": 100}', "name"),
+    ], ids=["top-level", "grid", "problem-entry"])
+    def test_repeated_spec_key_fails_naming_it(self, capsys, tmp_path, monkeypatch, text, key):
+        calls = []
+        monkeypatch.setattr(hoqiga.metaopt, "run_experiment", calls.append)
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        code, _, err = invoke(capsys, "meta", "--spec", str(path))
+        assert code == 2
+        assert f"repeated key {key!r}" in err
+        assert calls == []
