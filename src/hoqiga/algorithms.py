@@ -10,13 +10,14 @@
   driven by a lookup table; each quantum individual keeps its own state, and
   qiga1_lockstep advances many seeds at once.
 * sga_evolve: generational GA with roulette selection, single-point crossover
-  and per-bit mutation.
+  and per-bit mutation; sga_lockstep advances many seeds at once.
 
 All evolvers consume exactly the configured fitness-evaluation budget and
 record the best-so-far fitness at every evaluation, so runs with different
 generation sizes plot on a common axis.  Each draws a whole generation at
 once and folds its scores in sample order, so results match sampling one
-bitstring at a time; qiga and sga score with problem.batch, qiga1 row by row.
+bitstring at a time; qiga and sga score a generation of all lockstep runs
+with problem.batch, qiga1 row by row.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .problems import FitnessFunction
 
 logger = logging.getLogger(__name__)
 
-BATCH_ROWS = 100  # most rows qiga scores per problem.batch call, which bounds its temporaries
+BATCH_ROWS = 100  # most rows one problem.batch call scores, which bounds its temporaries
 
 RotationTable = dict[tuple[int, int, bool], float]
 
@@ -224,15 +225,6 @@ def contraction_update(reg: QuantumRegister, best_group: int, mu: float) -> Quan
     return QuantumRegister(reg.order, scaled)
 
 
-def _best_groups(b: BitString, layout: list[int]) -> list[int]:
-    groups = []
-    pos = 0
-    for order in layout:
-        groups.append(bits_to_group(b[pos : pos + order]))
-        pos += order
-    return groups
-
-
 def update_quantum_population(
     population: list[QuantumChromosome], b: BitString, mu: float
 ) -> list[QuantumChromosome]:
@@ -243,11 +235,9 @@ def update_quantum_population(
             raise ValueError(
                 f"best individual has {len(b)} bits, chromosome covers {chrom.length}"
             )
-        groups = _best_groups(b, chrom.layout)
-        regs = tuple(
-            contraction_update(reg, group, mu)
-            for reg, group in zip(chrom.registers, groups)
-        )
+        starts = np.cumsum([0, *chrom.layout])
+        regs = tuple(contraction_update(reg, bits_to_group(b[start : start + reg.order]), mu)
+                     for reg, start in zip(chrom.registers, starts))
         updated.append(QuantumChromosome(chrom.length, regs))
     return updated
 
@@ -257,18 +247,18 @@ class _PackedRegisters:
 
     One chromosome per run stands for its whole quantum population, which
     starts uniform and is contracted toward one best by one factor, so it
-    stays identical.  `blocks` holds one (shifts, amplitudes) pair per run of
-    equal-order registers in chromosome_layout: the full-order registers,
-    then the shorter final register if the order does not divide the gene
-    count.  amplitudes has shape (runs, count, 2**order); shifts expand a
-    register value to bits, high bit first, in the smallest dtype that holds
-    2**order, which observe counts in.  All operations are float-identical
-    to the per-register public operations, and each run's observation draws
-    consume its own random stream exactly like observe_chromosome.
+    stays identical.  `blocks` holds one (shifts, bit_table, amplitudes) triple
+    per run of equal-order registers in chromosome_layout: the full-order
+    registers, then the shorter final register if the order does not divide
+    the gene count.  amplitudes has shape (runs, count, 2**order); shifts
+    order a register's bits high bit first, and bit_table row v holds value v's.
+    All operations are float-identical to the per-register public operations,
+    and each run's observation draws consume its own random stream exactly
+    like observe_chromosome.
     """
 
     OBSERVE_CHUNK = 1 << 16  # most thresholds compared per observe step; a larger row goes alone
-    LOCKSTEP_AMPLITUDES = 1 << 16  # most amplitudes of one qiga or qiga1 lockstep group
+    LOCKSTEP_AMPLITUDES = 1 << 16  # most amplitudes (sga: bits) of one lockstep group
 
     def __init__(self, n_bits: int, order: int, runs: int = 1):
         layout = chromosome_layout(n_bits, order)
@@ -277,34 +267,39 @@ class _PackedRegisters:
         for block_order in dict.fromkeys(layout):
             dim = 2**block_order
             amplitudes = np.full((runs, layout.count(block_order), dim), math.sqrt(1.0 / dim))
-            shifts = np.arange(block_order - 1, -1, -1, dtype=np.min_scalar_type(dim))
-            self.blocks.append((shifts, amplitudes))
-        self.chunk = max(1, self.OBSERVE_CHUNK // sum(a.size for _, a in self.blocks))
+            shifts = np.arange(block_order - 1, -1, -1)
+            bit_table = ((np.arange(dim)[:, None] >> shifts) & 1).astype(np.uint8)
+            self.blocks.append((shifts, bit_table, amplitudes))
+        self.chunk = max(1, self.OBSERVE_CHUNK // sum(a.size for *_, a in self.blocks))
 
     def observe(self, k: int, rngs: list[RandomSource]) -> np.ndarray:
         """A (runs, k, n) array of samples; run s draws as k observe_chromosome calls on rngs[s]."""
         runs = len(rngs)
         draws = np.stack([rng.uniforms(k * self.registers_per_individual) for rng in rngs])
-        draws = draws.reshape(runs, k, -1, 1)
+        draws = draws.reshape(runs, k, -1)
         parts = []
         first = 0
-        for shifts, amplitudes in self.blocks:
-            count = amplitudes.shape[1]
-            thresholds = np.cumsum(amplitudes**2, axis=2)[:, None]
-            block_draws = draws[:, :, first : first + count]
+        for _, bit_table, amplitudes in self.blocks:
+            count, dim = amplitudes.shape[1:]
+            # Thresholds never decrease, so counting all but the last caps a value at dim - 1.
+            thresholds = np.cumsum(amplitudes**2, axis=2)[:, None, :, :-1]
+            block_draws, axis = draws[:, :, first : first + count, None], 3
+            if count >= dim:  # value-major: the longer register axis innermost
+                thresholds = np.ascontiguousarray(thresholds.swapaxes(2, 3))
+                block_draws, axis = block_draws.swapaxes(2, 3), 2
             values = np.concatenate([
-                np.sum(thresholds <= block_draws[:, i : i + self.chunk], axis=3, dtype=shifts.dtype)
+                np.sum(thresholds <= block_draws[:, i : i + self.chunk], axis=axis,
+                       dtype=np.min_scalar_type(dim - 1))
                 for i in range(0, k, self.chunk)
             ], axis=1)
-            np.minimum(values, thresholds.shape[-1] - 1, out=values)
-            parts.append(((values[..., None] >> shifts) & 1).astype(np.uint8).reshape(runs, k, -1))
+            parts.append(bit_table.take(values, axis=0).reshape(runs, k, -1))
             first += count
         return np.concatenate(parts, axis=2)
 
     def contract(self, best: np.ndarray, mu: float) -> None:
         """Contract run s's registers toward best[s], in place; best has shape (runs, n)."""
         pos = 0
-        for shifts, amplitudes in self.blocks:
+        for shifts, _, amplitudes in self.blocks:
             runs, count, _ = amplitudes.shape
             order = len(shifts)
             groups = best[:, pos : pos + count * order].reshape(runs, count, order) @ (1 << shifts)
@@ -329,6 +324,12 @@ def _check_problem(problem: FitnessFunction, runs: int = 1) -> int:
     return n
 
 
+def _score(problem: FitnessFunction, rows: np.ndarray) -> np.ndarray:
+    """problem.batch over rows, in order, by calls of at most BATCH_ROWS rows."""
+    starts = range(0, len(rows), BATCH_ROWS)
+    return np.concatenate([problem.batch(rows[i : i + BATCH_ROWS]) for i in starts])
+
+
 def qiga_evolve(
     problem: FitnessFunction, config: QigaConfig, rng: RandomSource
 ) -> RunResult:
@@ -343,9 +344,11 @@ def qiga_evolve(
     return qiga_lockstep(problem, config, [rng])[0]
 
 
-def lockstep_group_size(config: QigaConfig | Qiga1Config, n_bits: int) -> int:
-    """Most lockstep runs of config whose amplitudes fit _PackedRegisters.LOCKSTEP_AMPLITUDES."""
-    if isinstance(config, Qiga1Config):
+def lockstep_group_size(config: QigaConfig | Qiga1Config | SgaConfig, n_bits: int) -> int:
+    """Most lockstep runs of config whose state fits _PackedRegisters.LOCKSTEP_AMPLITUDES."""
+    if isinstance(config, SgaConfig):  # one per bit of the population
+        per_run = config.population_size * n_bits
+    elif isinstance(config, Qiga1Config):
         per_run = 2 * config.quantum_population_size * n_bits
     else:  # a missing tail register counts 1
         per_run = n_bits // config.order * 2**config.order + 2 ** (n_bits % config.order)
@@ -372,10 +375,7 @@ def qiga_lockstep(
     while trackers[0].remaining:
         generations += 1
         bits = packed.observe(min(per_generation, trackers[0].remaining), rngs)
-        rows = bits.reshape(-1, n)
-        fitness = np.concatenate(
-            [problem.batch(rows[i : i + BATCH_ROWS]) for i in range(0, len(rows), BATCH_ROWS)]
-        )
+        fitness = _score(problem, bits.reshape(-1, n))
         for tracker, run_bits, run_fitness in zip(trackers, bits, fitness.reshape(len(rngs), -1)):
             tracker.record(run_bits, run_fitness)
         if trackers[0].remaining:
@@ -451,56 +451,63 @@ def sga_evolve(
     shifted up for selection only, and an all-zero generation falls back to
     uniform selection.  Both fallbacks are logged, never fatal.  A generation
     that must select and holds a non-finite score (NaN, inf or -inf) raises a
-    ValueError that names the cause.
+    ValueError that names the cause.  The one-run call of sga_lockstep.
     """
-    n = _check_problem(problem)
-    pop_size = config.population_size
-    tracker = _BestTracker(config.max_fitness_evaluations)
-    population = rng.gen.integers(0, 2, size=(pop_size, n), dtype=np.uint8)
+    return sga_lockstep(problem, config, [rng])[0]
+
+
+def sga_lockstep(
+    problem: FitnessFunction, config: SgaConfig, rngs: list[RandomSource]
+) -> list[RunResult]:
+    """sga_evolve on each random source, all runs advanced one generation at a time.
+
+    The runs' populations form one (runs, pop, n) array, scored like qiga_lockstep's rows.
+    Each run draws its roulette spin, crossover coins and cuts, then mutation coins from
+    its own stream, in that order; the operators then apply to the whole group at once.
+    Result s equals sga_evolve(problem, config, rngs[s]) byte for byte.
+    """
+    n = _check_problem(problem, len(rngs))
+    runs, pop, pairs = len(rngs), config.population_size, config.population_size // 2
+    trackers = [_BestTracker(config.max_fitness_evaluations) for _ in rngs]
+    population = np.stack([rng.gen.integers(0, 2, size=(pop, n), dtype=np.uint8) for rng in rngs])
+    chosen, flips = np.empty((runs, pop), dtype=np.int64), np.empty((runs, pop, n), dtype=bool)
+    coins, cuts = np.empty((runs, pairs)), np.empty((runs, pairs), dtype=np.int64)
     generations = 0
-    while tracker.remaining:
+    while trackers[0].remaining:
         generations += 1
-        fitnesses = problem.batch(population)
-        tracker.record(population, fitnesses)  # the budget is whole generations
-        if not tracker.remaining:
+        fitness = _score(problem, population.reshape(-1, n)).reshape(runs, pop)
+        for tracker, run_bits, run_fitness in zip(trackers, population, fitness):
+            tracker.record(run_bits, run_fitness)  # the budget is whole generations
+        if not trackers[0].remaining:
             break
-
-        if not np.isfinite(fitnesses).all():
-            raise ValueError(
-                f"generation {generations}: non-finite fitness (NaN, inf or -inf) "
-                "cannot weight roulette selection"
-            )
-        selection = fitnesses.astype(np.float64, copy=True)
-        low = selection.min()
-        if low < 0:
-            selection += -low + 1.0
-            logger.warning(
-                "generation %d: negative fitness %g; shifted for roulette selection",
-                generations,
-                low,
-            )
-        total = selection.sum()
-        if total <= 0:
-            probabilities = np.full(pop_size, 1.0 / pop_size)
-            logger.warning(
-                "generation %d: all-zero fitness; uniform selection fallback", generations
-            )
-        else:
-            probabilities = selection / total
-        parents = population[rng.gen.choice(pop_size, size=pop_size, p=probabilities)]
-
-        children = parents.copy()
-        if n >= 2:
-            pairs = pop_size // 2
-            crossed = np.flatnonzero(rng.gen.random(pairs) < config.crossover_probability)
-            cuts = rng.gen.integers(1, n, size=pairs)[crossed]
-            children[2 * crossed], children[2 * crossed + 1] = single_point_crossover(
-                parents[2 * crossed], parents[2 * crossed + 1], cuts
-            )
-        flips = rng.gen.random((pop_size, n)) < config.mutation_probability
-        children ^= flips.astype(np.uint8)
-        population = children
-    return tracker.result(generations)
+        if not np.isfinite(fitness).all():
+            raise ValueError(f"generation {generations}: non-finite fitness (NaN, inf or -inf) "
+                             "cannot weight roulette selection")
+        selection = fitness.astype(np.float64, copy=True)
+        low = selection.min(axis=1, keepdims=True)
+        np.add(selection, -low + 1.0, out=selection, where=low < 0)
+        for value in low[low < 0]:
+            logger.warning("generation %d: negative fitness %g; shifted for roulette selection",
+                           generations, value)
+        totals = selection.sum(axis=1, keepdims=True)
+        probabilities = np.full((runs, pop), 1.0 / pop)
+        np.divide(selection, totals, out=probabilities, where=totals > 0)
+        for _ in range(np.count_nonzero(totals <= 0)):
+            logger.warning("generation %d: all-zero fitness; uniform selection fallback",
+                           generations)
+        for s, rng in enumerate(rngs):
+            chosen[s] = rng.gen.choice(pop, size=pop, p=probabilities[s])
+            if n >= 2:
+                coins[s], cuts[s] = rng.gen.random(pairs), rng.gen.integers(1, n, size=pairs)
+            flips[s] = rng.gen.random((pop, n)) < config.mutation_probability
+        children = population[np.arange(runs)[:, None], chosen]
+        if n >= 2:  # pair j of run s is rows 2i and 2i + 1 of the group, i = s * pairs + j
+            crossed = np.flatnonzero(coins < config.crossover_probability)
+            rows = children.reshape(-1, n)  # a view, so crossing rows crosses children
+            rows[2 * crossed], rows[2 * crossed + 1] = single_point_crossover(
+                rows[2 * crossed], rows[2 * crossed + 1], cuts.ravel()[crossed])
+        population = children ^ flips.astype(np.uint8)
+    return [tracker.result(generations) for tracker in trackers]
 
 
 def single_point_crossover(

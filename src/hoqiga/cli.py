@@ -200,6 +200,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_meta(args) -> int:
     if args.spec:
+        if not Path(args.spec).exists():
+            raise UsageError(f"spec file not found: {args.spec}")
         spec = TuningSpec.from_json(Path(args.spec).read_text())
     else:
         if not args.grid or not args.problems:

@@ -21,19 +21,18 @@ from typing import Any
 import numpy as np
 
 from .algorithms import (Qiga1Config, QigaConfig, RunResult, SgaConfig, default_rotation_table,
-                         lockstep_group_size, qiga1_evolve, qiga1_lockstep, qiga_evolve,
-                         qiga_lockstep, sga_evolve)
+                         lockstep_group_size, qiga1_lockstep, qiga_lockstep, sga_lockstep)
 from .core import RandomSource, bits_to_string, check_int
 from .problems import FitnessFunction, load_problem
 
 logger = logging.getLogger(__name__)
 
-# Each algorithm id's evolver and the plan parameters it accepts; nothing else lists them.
+# Each algorithm id's config type and the plan parameters it accepts; nothing else lists them.
 ALGORITHMS = {
-    "qiga2": (qiga_evolve, ("mu", "quantum_population_size", "samples_per_individual")),
-    "qiga-r": (qiga_evolve, ("mu", "order", "quantum_population_size", "samples_per_individual")),
-    "qiga1": (qiga1_evolve, ("angle", "epsilon_guard", "quantum_population_size")),
-    "sga": (sga_evolve, ("population_size", "crossover_probability", "mutation_probability")),
+    "qiga2": (QigaConfig, ("mu", "quantum_population_size", "samples_per_individual")),
+    "qiga-r": (QigaConfig, ("mu", "order", "quantum_population_size", "samples_per_individual")),
+    "qiga1": (Qiga1Config, ("angle", "epsilon_guard", "quantum_population_size")),
+    "sga": (SgaConfig, ("population_size", "crossover_probability", "mutation_probability")),
 }
 
 
@@ -71,20 +70,20 @@ class AlgorithmSpec:
         angle as the rotation table; every other knob keeps its config default.
         A param the id does not accept raises a ValueError that names it.
         """
-        evolve, accepted = ALGORITHMS[self.id]
+        config_type, accepted = ALGORITHMS[self.id]
         params = dict(self.params)
         for key in params:
             if key not in accepted:
                 raise ValueError(
                     f"{self.id} takes no parameter {key!r}; it accepts {', '.join(accepted)}"
                 )
-        if evolve is qiga_evolve:  # an id that takes no order runs at the default order 2
+        if config_type is QigaConfig:  # an id that takes no order runs at the default order 2
             if "order" in accepted and "order" not in params:
                 raise ValueError(f"{self.id} requires an 'order' parameter")
             if "mu" in params:
                 params["contraction_factor"] = params.pop("mu")
             return QigaConfig(max_fitness_evaluations=max_fitness_evaluations, **params)
-        if evolve is qiga1_evolve:
+        if config_type is Qiga1Config:
             angle = params.pop("angle", None)
             if angle is not None:
                 params["rotation_table"] = tuple(default_rotation_table(angle).items())
@@ -99,9 +98,15 @@ class AlgorithmSpec:
             )
         return SgaConfig(generations=generations, **params)
 
+    def run_group(self, problem: FitnessFunction, seeds, config) -> list[RunResult]:
+        """One run per seed with a config from build(), advanced together by its lockstep engine."""
+        lockstep = {QigaConfig: qiga_lockstep, Qiga1Config: qiga1_lockstep,
+                    SgaConfig: sga_lockstep}[type(config)]
+        return lockstep(problem, config, [RandomSource(seed) for seed in seeds])
+
     def run(self, problem: FitnessFunction, seed: int, config) -> RunResult:
         """One seeded run of this spec's evolver with a config from build()."""
-        return ALGORITHMS[self.id][0](problem, config, RandomSource(seed))
+        return self.run_group(problem, [seed], config)[0]
 
 
 @dataclass(frozen=True)
@@ -270,22 +275,19 @@ def _execute_chunk(task: tuple[AlgorithmSpec, FitnessFunction, range, int]) -> l
     """The RunRecords of one chunk of a cell's seeds, or the error that fails its cell.
 
     The chunk, a contiguous seed range, is the unit of dispatch: its problem is pickled
-    once and its config built once.  A qiga or qiga1 id runs the chunk as lockstep groups
-    of lockstep_group_size seeds, one qiga_lockstep or qiga1_lockstep call each; sga runs
-    seed by seed.  Results are the same as one run per seed.
+    once and its config built once.  The chunk runs as lockstep groups of
+    lockstep_group_size seeds, one algo.run_group call each, for every id.  Results are
+    the same as one run per seed; a failure is logged with its group's seed range.
     """
     algo, problem, seeds, budget = task
     records, group = [], seeds  # the whole chunk, if build raises
     try:
         config = algo.build(budget)
-        lockstep = {QigaConfig: qiga_lockstep, Qiga1Config: qiga1_lockstep}.get(type(config))
-        size = lockstep_group_size(config, problem.size) if lockstep else 1
+        size = lockstep_group_size(config, problem.size)
         for first in range(0, len(seeds), size):
             group = seeds[first : first + size]
-            results = (lockstep(problem, config, [RandomSource(seed) for seed in group])
-                       if lockstep else [algo.run(problem, group[0], config)])
             records += [RunRecord(seed, r.best_fitness, bits_to_string(r.best_bits), r.trajectory)
-                        for seed, r in zip(group, results)]
+                        for seed, r in zip(group, algo.run_group(problem, group, config))]
     except Exception as exc:  # isolated to its cell; bench reports it and exits 3
         span = f"seed {group[0]}" if len(group) == 1 else f"seeds {group[0]}-{group[-1]}"
         logger.debug("run %s %s failed", algo.label, span, exc_info=True)
@@ -299,9 +301,9 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentResult:
     Run r of every cell uses seed base_seed + r.  A problem that fails to load,
     or a run that raises, fails only its cell.  The unit of dispatch is a chunk
     of one cell's seeds (ceil(4 * jobs / cells) per cell, at most one per run):
-    each problem is pickled once per chunk, and a qiga or qiga1 chunk runs its
-    seeds in lockstep groups bounded by state size.  Neither chunks, groups nor jobs
-    change results.
+    each problem is pickled once per chunk, and every chunk runs its seeds in
+    lockstep groups bounded by state size.  Neither chunks, groups nor jobs change
+    results.
     """
     loaded: dict[str, FitnessFunction | Exception] = {}
     for spec in plan.problems:

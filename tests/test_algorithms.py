@@ -23,10 +23,12 @@ from hoqiga.algorithms import (
     qiga_evolve,
     qiga_lockstep,
     sga_evolve,
+    sga_lockstep,
     single_point_crossover,
     update_quantum_population,
 )
 from hoqiga.core import (
+    QuantumChromosome,
     QuantumRegister,
     RandomSource,
     bits_from_string,
@@ -195,6 +197,17 @@ class TestUpdateQuantumPopulation:
             update_quantum_population([chromosome_uniform(4, 2)], bits_from_string("101"), 0.9)
 
 
+class FixedDraws:
+    """A random source whose uniforms are given values, consumed in order."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+
+    def uniforms(self, n):
+        drawn, self.values = self.values[:n], self.values[n:]
+        return drawn
+
+
 def reference_qiga_evolve(problem, config, rng):
     """Plain composition of the public per-register operations."""
     population = [
@@ -281,6 +294,45 @@ class TestQigaEvolve:
         stepped = qiga_evolve(problem, config, RandomSource(5))
         assert np.array_equal(stepped.best_bits, whole.best_bits)
         assert stepped.trajectory.tobytes() == whole.trajectory.tobytes()
+
+    @pytest.mark.parametrize("one_row_steps", [False, True], ids=["default", "one-row"])
+    @pytest.mark.parametrize("n, order", [(250, 1), (250, 2), (251, 2), (24, 6), (26, 6), (12, 8)])
+    def test_packed_observe_matches_observe_chromosome(self, monkeypatch, n, order,
+                                                       one_row_steps):
+        # Orders 1 and 2 on 250 or 251 genes compare value-major (at least as many
+        # registers as values); orders 6 and 8 compare register-major.  251 and 26
+        # genes add a ragged tail register; OBSERVE_CHUNK 1 compares one row a step.
+        if one_row_steps:
+            monkeypatch.setattr(_PackedRegisters, "OBSERVE_CHUNK", 1)
+        runs, k = 3, 7
+        packed = _PackedRegisters(n, order, runs)
+        draws = np.random.default_rng(n + order)
+        for mu in (0.8, 0.6, 0.9):  # contract toward varied bests: uneven, non-uniform registers
+            packed.contract(draws.integers(0, 2, size=(runs, n), dtype=np.uint8), mu)
+        chromosomes = [
+            QuantumChromosome(n, tuple(QuantumRegister(bit_table.shape[1], amps)
+                                       for _, bit_table, amplitudes in packed.blocks
+                                       for amps in amplitudes[s]))
+            for s in range(runs)
+        ]
+        assert any(len(set(np.round(r.probabilities, 12))) > 1 for r in chromosomes[0].registers)
+        samples = packed.observe(k, [RandomSource(s) for s in range(runs)])
+        assert samples.shape == (runs, k, n) and samples.dtype == np.uint8
+        for s, chromosome in enumerate(chromosomes):
+            rng = RandomSource(s)
+            expected = [observe_chromosome(chromosome, rng) for _ in range(k)]
+            assert samples[s].tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("n, order", [(250, 2), (24, 6)], ids=["value-major", "register-major"])
+    def test_packed_observe_counts_a_draw_equal_to_a_threshold(self, n, order):
+        # Uniform registers have the exact thresholds j / 2**order, and a draw equal to
+        # one of them counts it, as searchsorted(side="right") does in observe_chromosome.
+        dim, k = 2**order, 3
+        draws = (np.arange(k * (n // order)) % dim) / dim
+        samples = _PackedRegisters(n, order).observe(k, [FixedDraws(draws)])
+        source, chromosome = FixedDraws(draws), chromosome_uniform(n, order)
+        expected = [observe_chromosome(chromosome, source) for _ in range(k)]
+        assert samples[0].tobytes() == np.array(expected).tobytes()
 
     @pytest.mark.parametrize("problem", [pair_trap(4), onemax(7)], ids=["trap", "onemax"])
     def test_results_depend_only_on_generation_size(self, problem):
@@ -911,6 +963,71 @@ class TestQiga1Lockstep:
         assert problem.batch_shapes == [(5,)] * (3 * 203)  # each from one scalar call
 
 
+SGA_PROBLEMS = {
+    "onemax": lambda n, seed: onemax(n),
+    "trap": lambda n, seed: pair_trap((n + 1) // 2),
+    "3sat": lambda n, seed: load_problem(f"3sat:{max(n, 3)}:{4 * max(n, 3)}:{seed}"),
+    "negated": lambda n, seed: NegatedOneMax(n),
+    "zero": lambda n, seed: ConstantProblem(n, 0.0),
+}
+
+
+class TestSgaLockstep:
+    @given(
+        runs=st.integers(1, 6),
+        half_pop=st.integers(1, 10),
+        n=st.integers(1, 12),
+        kind=st.sampled_from(sorted(SGA_PROBLEMS)),
+        crossover=st.sampled_from([0.0, 1.0, SgaConfig().crossover_probability]),
+        generations=st.integers(1, 6),
+        seed=st.integers(0, 2**20),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_each_run_matches_its_own_sga_evolve_and_the_reference(
+        self, runs, half_pop, n, kind, crossover, generations, seed
+    ):
+        # "negated" takes the negative-shift path and "zero" the all-zero fallback;
+        # n = 1 draws no crossover numbers.
+        problem = SGA_PROBLEMS[kind](n, seed)
+        config = SgaConfig(population_size=2 * half_pop, generations=generations,
+                           crossover_probability=crossover)
+        rngs = [RandomSource(seed + i) for i in range(runs)]
+        results = sga_lockstep(problem, config, rngs)
+        assert len(results) == runs
+        for i, (rng, result) in enumerate(zip(rngs, results)):
+            single, reference = RandomSource(seed + i), RandomSource(seed + i)
+            assert same_run(result, sga_evolve(problem, config, single))
+            assert same_run(result, reference_sga_evolve(problem, config, reference))
+            assert (result.evaluations, result.generations) == (2 * half_pop * generations,
+                                                                generations)
+            state = rng.gen.bit_generator.state
+            assert state == single.gen.bit_generator.state == reference.gen.bit_generator.state
+
+    def test_scalar_only_problem_sees_each_runs_rows_generation_by_generation(self):
+        # Each generation is scored run after run, each run's population in order.
+        config = SgaConfig(population_size=6, generations=5)
+        problem = RecordingProblem(pair_trap(4))
+        sga_lockstep(problem, config, [RandomSource(s) for s in (7, 8, 9)])
+        per_run = []
+        for s in (7, 8, 9):
+            single = RecordingProblem(pair_trap(4))
+            sga_evolve(single, config, RandomSource(s))
+            per_run.append(single.calls)
+        expected = [row for first in range(0, 30, 6) for calls in per_run
+                    for row in calls[first : first + 6]]
+        assert len(problem.calls) == 3 * 30
+        assert np.array_equal(np.array(problem.calls), np.array(expected))
+
+    def test_batch_calls_are_two_dimensional_and_capped(self):
+        # 25 runs x 10 individuals = 250 rows a generation: calls of 100, 100 and 50 rows.
+        problem = BatchSpy(load_problem("3sat:20:80:4"))
+        config = SgaConfig(population_size=10, generations=4)
+        results = sga_lockstep(problem, config, [RandomSource(s) for s in range(25)])
+        assert problem.shapes == [(100, 20), (100, 20), (50, 20)] * 4
+        for s in (0, 24):
+            assert same_run(results[s], sga_evolve(problem.inner, config, RandomSource(s)))
+
+
 @pytest.mark.parametrize("engine, config", [
     (qiga_lockstep, QigaConfig(max_fitness_evaluations=20)),
     (qiga1_lockstep, Qiga1Config(max_fitness_evaluations=20)),
@@ -918,6 +1035,11 @@ class TestQiga1Lockstep:
 def test_lockstep_without_random_sources_names_the_cause(engine, config):
     with pytest.raises(ValueError, match="at least one random source, got none"):
         engine(onemax(4), config, [])
+
+
+def test_sga_lockstep_without_random_sources_names_the_cause():
+    with pytest.raises(ValueError, match="at least one random source, got none"):
+        sga_lockstep(onemax(4), SgaConfig(population_size=4, generations=5), [])
 
 
 INT_FIELDS = [

@@ -498,6 +498,14 @@ class TestMetaCommand:
     def test_needs_grid_or_spec(self, capsys):
         assert invoke(capsys, "meta", "--grid", "0.5")[0] == 1
 
+    @pytest.mark.parametrize("command, flag, kind",
+                             [("meta", "--spec", "spec"), ("bench", "--plan", "plan")])
+    def test_missing_file_is_usage_error_naming_it(self, capsys, tmp_path, command, flag, kind):
+        missing = tmp_path / "nope.json"
+        code, _, err = invoke(capsys, command, flag, str(missing))
+        assert code == 1
+        assert err == f"error: {kind} file not found: {missing}\n"
+
     @pytest.mark.parametrize(
         "grid, extra", [("0.5", ["--runs", "0"]), ("0.5", ["--jobs", "0"]), ("0.5,1.0", [])]
     )

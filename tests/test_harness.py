@@ -13,6 +13,7 @@ import pytest
 import hoqiga.algorithms
 import hoqiga.harness
 import hoqiga.problems
+from hoqiga.algorithms import SgaConfig
 from hoqiga.core import bits_to_string
 from hoqiga.harness import (
     ALGORITHMS,
@@ -51,16 +52,17 @@ class PickleCountingOneMax(FitnessFunction):
 
 
 class RaisingSpec(AlgorithmSpec):
-    """An AlgorithmSpec whose runs raise from seed 15 on.
+    """An AlgorithmSpec whose seed groups raise when they hold a seed from 15 on.
 
     Defined at module level, so pool workers unpickle it by reference under
     any start method.
     """
 
-    def run(self, problem, seed, config):
-        if seed >= 15:
-            raise ValueError(f"seed {seed} raised")
-        return super().run(problem, seed, config)
+    def run_group(self, problem, seeds, config):
+        raising = [seed for seed in seeds if seed >= 15]
+        if raising:
+            raise ValueError(f"seed {raising[0]} raised")
+        return super().run_group(problem, seeds, config)
 
 
 def small_plan(**overrides):
@@ -272,8 +274,8 @@ class TestRunExperiment:
         qiga, sga = result.cells
         assert [r.seed for r in qiga.runs] == list(range(11, 18))
         assert sga.error == "seed 15 raised" and sga.runs == []
-        if jobs == 1:  # pool workers log in their own processes
-            assert "run sga seed 15 failed" in caplog.text
+        if jobs == 1:  # pool workers log in their own processes; 2 chunks, one group each
+            assert "run sga seeds 14-17 failed" in caplog.text
 
     def test_failed_problem_marks_cell_and_continues(self):
         plan = small_plan(
@@ -514,7 +516,7 @@ class TestLockstepGroups:
         assert error.startswith("no fitness above -inf in 5 evaluations")
         assert len(result.cell("om6", "qiga2").runs) == 7
         assert "run qiga2 seeds 11-17 failed" in caplog.text
-        assert "run sga seed 11 failed" in caplog.text
+        assert "run sga seeds 11-17 failed" in caplog.text
 
     def test_small_group_budget_splits_a_qiga1_chunk_without_changing_results(self, monkeypatch):
         # Four cells at jobs 1 make one 7-seed chunk per cell.  qiga1 with 3 quantum
@@ -553,6 +555,57 @@ class TestLockstepGroups:
         config = AlgorithmSpec("qiga1").build(5000)
         assert hoqiga.algorithms.lockstep_group_size(config, 250) == 13
         assert hoqiga.algorithms.lockstep_group_size(config, 10**5) == 1
+
+    def test_small_group_budget_splits_an_sga_chunk_without_changing_results(self, monkeypatch):
+        # Four cells at jobs 1 make one 7-seed chunk per cell.  sga with 10 individuals
+        # on onemax:6 counts 10 * 6 = 60 bits per run, so a budget of 180 splits its
+        # chunk into groups of 3, 3 and 1 seeds.
+        problems = tuple(ProblemSpec(source, source)
+                         for source in ("onemax:6", "trap:3", "onemax:5", "trap:2"))
+        plan = small_plan(problems=problems, runs_per_cell=7,
+                          algorithms=small_plan().algorithms[1:])
+        whole = run_experiment(plan)
+        groups = []
+
+        def spy(problem, config, rngs):
+            groups.append([rng.seed for rng in rngs])
+            return hoqiga.algorithms.sga_lockstep(problem, config, rngs)
+
+        monkeypatch.setattr(hoqiga.harness, "sga_lockstep", spy)
+        monkeypatch.setattr(hoqiga.algorithms._PackedRegisters, "LOCKSTEP_AMPLITUDES", 180)
+        split = run_experiment(plan)
+        assert groups[:3] == [[11, 12, 13], [14, 15, 16], [17]]
+
+        def records(cell):
+            return [(r.seed, r.best_fitness, r.best_bits, r.trajectory.tobytes())
+                    for r in cell.runs]
+
+        assert [records(cell) for cell in split.cells] == [records(cell) for cell in whole.cells]
+        problem, aspec = problems[0].load(), plan.algorithms[0]
+        direct = [aspec.run(problem, seed, aspec.build(100)) for seed in range(11, 18)]
+        assert records(split.cells[0]) == [
+            (seed, r.best_fitness, bits_to_string(r.best_bits), r.trajectory.tobytes())
+            for seed, r in zip(range(11, 18), direct)
+        ]
+
+    def test_sga_groups_fill_the_amplitude_budget(self):
+        # 65536 // (20 * 250) = 13 sga seeds per group on a 250-gene problem.
+        config = SgaConfig(population_size=20, generations=250)
+        assert hoqiga.algorithms.lockstep_group_size(config, 250) == 13
+        assert hoqiga.algorithms.lockstep_group_size(config, 10**4) == 1
+
+    def test_failing_sga_group_logs_its_seed_range(self, caplog, monkeypatch):
+        caplog.set_level(logging.DEBUG, logger="hoqiga.harness")
+        monkeypatch.setattr(hoqiga.harness, "load_problem",
+                            lambda source, name="": NanOneMax(6) if source == "nan" else
+                            hoqiga.problems.load_problem(source, name))
+        # Two cells at jobs 1 make two chunks per cell, so sga runs seeds 11-13 as one group.
+        plan = small_plan(problems=(ProblemSpec("nan6", "nan"),), runs_per_cell=7)
+        result = run_experiment(plan)
+        assert result.cell("nan6", "sga").error.startswith(
+            "generation 1: non-finite fitness (NaN, inf or -inf)")
+        assert result.cell("nan6", "sga").runs == []
+        assert "run sga seeds 11-13 failed" in caplog.text
 
     def test_failing_qiga1_group_logs_its_seed_range(self, caplog, monkeypatch):
         caplog.set_level(logging.DEBUG, logger="hoqiga.harness")
