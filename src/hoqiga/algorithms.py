@@ -15,9 +15,9 @@
 All evolvers consume exactly the configured fitness-evaluation budget and
 record the best-so-far fitness at every evaluation, so runs with different
 generation sizes plot on a common axis.  Each draws a whole generation at
-once and folds its scores in sample order, so results match sampling one
-bitstring at a time; qiga and sga score a generation of all lockstep runs
-with problem.batch, qiga1 row by row.
+once, and one _BestTracker per lockstep group folds its runs' scores in sample
+order, so results match sampling one bitstring at a time; qiga and sga score a
+generation of all lockstep runs with problem.batch, qiga1 row by row.
 """
 
 from __future__ import annotations
@@ -160,47 +160,50 @@ class RunResult:
 
 
 class _BestTracker:
-    """Evaluation-budget bookkeeping shared by every evolver.
+    """Evaluation-budget bookkeeping of one lockstep group of runs, shared by every evolver.
 
-    Records the best-so-far fitness after each evaluation; ties keep the
-    earliest individual, so the trajectory is nondecreasing and the winner is
+    The runs share one evaluation and one generation count, since their generations are
+    equal in size.  Each run records its best-so-far fitness after each evaluation; ties
+    keep the earliest individual, so the trajectory is nondecreasing and the winner is
     the first to reach the top fitness.  A NaN fitness never becomes best.
     """
 
-    def __init__(self, budget: int):
+    def __init__(self, budget: int, runs: int):
         self.budget = budget
         self.count = 0
-        self.best_bits: BitString | None = None
-        self.best_fitness = -math.inf
-        self.trajectory = np.empty(budget, dtype=np.float64)
+        self.generations = 0
+        self.best_bits: list[BitString | None] = [None] * runs
+        self.best_fitness = [-math.inf] * runs
+        self.trajectory = np.empty((runs, budget), dtype=np.float64)
 
     @property
     def remaining(self) -> int:
         return self.budget - self.count
 
     @property
-    def best(self) -> BitString:
-        """The best bits so far; ValueError when no fitness has beaten -inf."""
-        if self.best_bits is None:
+    def best(self) -> np.ndarray:
+        """The (runs, n) best bits so far; ValueError when a run has no fitness above -inf."""
+        if any(bits is None for bits in self.best_bits):
             raise ValueError(f"no fitness above -inf in {self.count} evaluations (all NaN or -inf)")
-        return self.best_bits
+        return np.stack(self.best_bits)
 
-    def record(self, bits2d: np.ndarray, fitness) -> None:
-        """Fold k evaluated rows in order; a row becomes best only if strictly fitter."""
-        for row, value in enumerate(np.asarray(fitness, dtype=np.float64).tolist()):
-            if value > self.best_fitness:
-                self.best_fitness, self.best_bits = value, np.array(bits2d[row], dtype=np.uint8)
-            self.trajectory[self.count] = self.best_fitness
-            self.count += 1
+    def record(self, bits: np.ndarray, fitness) -> None:
+        """Fold run s's rows bits[s], scored fitness[s], in order; only a fitter row is best."""
+        fitness = np.asarray(fitness, dtype=np.float64)
+        for s, values in enumerate(fitness.tolist()):
+            best = self.best_fitness[s]
+            for row, value in enumerate(values):
+                if value > best:
+                    best, self.best_bits[s] = value, np.array(bits[s, row], dtype=np.uint8)
+                self.trajectory[s, self.count + row] = best
+            self.best_fitness[s] = best
+        self.count += fitness.shape[1]
+        self.generations += 1
 
-    def result(self, generations: int) -> RunResult:
-        return RunResult(
-            best_bits=self.best,
-            best_fitness=self.best_fitness,
-            trajectory=self.trajectory[: self.count],
-            evaluations=self.count,
-            generations=generations,
-        )
+    def results(self) -> list[RunResult]:
+        return [RunResult(best_bits=bits, best_fitness=fitness, trajectory=trajectory[: self.count],
+                          evaluations=self.count, generations=self.generations)
+                for bits, fitness, trajectory in zip(self.best, self.best_fitness, self.trajectory)]
 
 
 def contraction_update(reg: QuantumRegister, best_group: int, mu: float) -> QuantumRegister:
@@ -360,8 +363,8 @@ def qiga_lockstep(
 ) -> list[RunResult]:
     """qiga_evolve on each random source, all runs advanced one generation at a time.
 
-    The runs share generation boundaries, so each generation's rows, run-major
-    in sample order, are scored by problem.batch calls of at most BATCH_ROWS
+    The runs share generation boundaries and one _BestTracker; each generation's rows,
+    run-major in sample order, are scored by problem.batch calls of at most BATCH_ROWS
     rows.  Result s equals qiga_evolve(problem, config, rngs[s]) byte for byte.
     """
     n = _check_problem(problem, len(rngs))
@@ -369,18 +372,14 @@ def qiga_lockstep(
         raise ValueError(f"order must satisfy 1 <= order <= problem size, got order={config.order} "
                          f"for {n} genes")
     packed = _PackedRegisters(n, config.order, len(rngs))
-    trackers = [_BestTracker(config.max_fitness_evaluations) for _ in rngs]
+    tracker = _BestTracker(config.max_fitness_evaluations, len(rngs))
     per_generation = config.quantum_population_size * config.samples_per_individual
-    generations = 0
-    while trackers[0].remaining:
-        generations += 1
-        bits = packed.observe(min(per_generation, trackers[0].remaining), rngs)
-        fitness = _score(problem, bits.reshape(-1, n))
-        for tracker, run_bits, run_fitness in zip(trackers, bits, fitness.reshape(len(rngs), -1)):
-            tracker.record(run_bits, run_fitness)
-        if trackers[0].remaining:
-            packed.contract(np.stack([t.best for t in trackers]), config.contraction_factor)
-    return [tracker.result(generations) for tracker in trackers]
+    while tracker.remaining:
+        bits = packed.observe(min(per_generation, tracker.remaining), rngs)
+        tracker.record(bits, _score(problem, bits.reshape(-1, n)).reshape(len(rngs), -1))
+        if tracker.remaining:
+            packed.contract(tracker.best, config.contraction_factor)
+    return tracker.results()
 
 
 def qiga1_evolve(
@@ -401,8 +400,8 @@ def qiga1_lockstep(
 ) -> list[RunResult]:
     """qiga1_evolve on each random source, all runs advanced one generation at a time.
 
-    The qubits of all runs form one (runs, pop, n, 2) state.  Each sampled row is
-    scored by one problem(row) call, run-major in sample order.  Result s equals
+    The qubits of all runs form one (runs, pop, n, 2) state, and one _BestTracker folds
+    each sampled row's problem(row) score, run-major in sample order.  Result s equals
     qiga1_evolve(problem, config, rngs[s]) byte for byte.
     """
     n = _check_problem(problem, len(rngs))
@@ -410,27 +409,23 @@ def qiga1_lockstep(
     table = config.table_array()
     cos_table, sin_table = np.cos(table).ravel(), np.sin(table).ravel()
     state = np.full((runs, pop, n, 2), math.sqrt(0.5))
-    trackers = [_BestTracker(config.max_fitness_evaluations) for _ in rngs]
-    generations = 0
-    while trackers[0].remaining:
-        generations += 1
-        k = min(pop, trackers[0].remaining)
+    tracker = _BestTracker(config.max_fitness_evaluations, runs)
+    while tracker.remaining:
+        k = min(pop, tracker.remaining)
         draws = np.stack([rng.uniforms(k * n) for rng in rngs]).reshape(runs, k, n)
         bits = (draws >= state[:, :k, :, 0] ** 2).astype(np.uint8)
         fitness = np.array([problem(row) for row in bits.reshape(-1, n)]).reshape(runs, k)
-        for tracker, run_bits, run_fitness in zip(trackers, bits, fitness):
-            tracker.record(run_bits, run_fitness)
-        if not trackers[0].remaining:
+        tracker.record(bits, fitness)
+        if not tracker.remaining:
             break
         # Only a full generation gets here, so every individual rotates.
-        at_least_best = fitness >= np.array([tracker.best_fitness for tracker in trackers])[:, None]
-        best = np.stack([tracker.best for tracker in trackers])
-        index = 4 * bits + (2 * best[:, None] + at_least_best[..., None])  # flat [x, b, cmp]
+        at_least_best = fitness >= np.array(tracker.best_fitness)[:, None]
+        index = 4 * bits + 2 * tracker.best[:, None] + at_least_best[..., None]  # flat [x, b, cmp]
         cos_d, sin_d = cos_table[index], sin_table[index]
         alpha, beta = state[..., 0], state[..., 1]
         state[..., 0], state[..., 1] = cos_d * alpha - sin_d * beta, sin_d * alpha + cos_d * beta
         _clamp_poles(state, config.epsilon_guard)
-    return [tracker.result(generations) for tracker in trackers]
+    return tracker.results()
 
 
 def _clamp_poles(state: np.ndarray, eps: float) -> None:
@@ -461,40 +456,37 @@ def sga_lockstep(
 ) -> list[RunResult]:
     """sga_evolve on each random source, all runs advanced one generation at a time.
 
-    The runs' populations form one (runs, pop, n) array, scored like qiga_lockstep's rows.
+    The runs' populations form one (runs, pop, n) array, scored and folded like qiga_lockstep's.
     Each run draws its roulette spin, crossover coins and cuts, then mutation coins from
     its own stream, in that order; the operators then apply to the whole group at once.
     Result s equals sga_evolve(problem, config, rngs[s]) byte for byte.
     """
     n = _check_problem(problem, len(rngs))
     runs, pop, pairs = len(rngs), config.population_size, config.population_size // 2
-    trackers = [_BestTracker(config.max_fitness_evaluations) for _ in rngs]
+    tracker = _BestTracker(config.max_fitness_evaluations, runs)
     population = np.stack([rng.gen.integers(0, 2, size=(pop, n), dtype=np.uint8) for rng in rngs])
     chosen, flips = np.empty((runs, pop), dtype=np.int64), np.empty((runs, pop, n), dtype=bool)
     coins, cuts = np.empty((runs, pairs)), np.empty((runs, pairs), dtype=np.int64)
-    generations = 0
-    while trackers[0].remaining:
-        generations += 1
+    while tracker.remaining:
         fitness = _score(problem, population.reshape(-1, n)).reshape(runs, pop)
-        for tracker, run_bits, run_fitness in zip(trackers, population, fitness):
-            tracker.record(run_bits, run_fitness)  # the budget is whole generations
-        if not trackers[0].remaining:
+        tracker.record(population, fitness)  # the budget is whole generations
+        if not tracker.remaining:
             break
         if not np.isfinite(fitness).all():
-            raise ValueError(f"generation {generations}: non-finite fitness (NaN, inf or -inf) "
-                             "cannot weight roulette selection")
+            raise ValueError(f"generation {tracker.generations}: non-finite fitness "
+                             "(NaN, inf or -inf) cannot weight roulette selection")
         selection = fitness.astype(np.float64, copy=True)
         low = selection.min(axis=1, keepdims=True)
         np.add(selection, -low + 1.0, out=selection, where=low < 0)
         for value in low[low < 0]:
             logger.warning("generation %d: negative fitness %g; shifted for roulette selection",
-                           generations, value)
+                           tracker.generations, value)
         totals = selection.sum(axis=1, keepdims=True)
         probabilities = np.full((runs, pop), 1.0 / pop)
         np.divide(selection, totals, out=probabilities, where=totals > 0)
         for _ in range(np.count_nonzero(totals <= 0)):
             logger.warning("generation %d: all-zero fitness; uniform selection fallback",
-                           generations)
+                           tracker.generations)
         for s, rng in enumerate(rngs):
             chosen[s] = rng.gen.choice(pop, size=pop, p=probabilities[s])
             if n >= 2:
@@ -507,7 +499,7 @@ def sga_lockstep(
             rows[2 * crossed], rows[2 * crossed + 1] = single_point_crossover(
                 rows[2 * crossed], rows[2 * crossed + 1], cuts.ravel()[crossed])
         population = children ^ flips.astype(np.uint8)
-    return [tracker.result(generations) for tracker in trackers]
+    return tracker.results()
 
 
 def single_point_crossover(

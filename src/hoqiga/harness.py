@@ -152,8 +152,8 @@ def read_plan_document(text: str, runs: int, own_keys: tuple[str, ...]) -> tuple
     """The ExperimentPlan fields ("runs" defaults to runs) and own_keys entries of a document.
 
     The one reader of the keys plan files and tuning specs share.  An unknown key, a key
-    repeated in any object, or "problems", "algorithms" or "grid" not a list (of objects,
-    but "grid"), raises naming it.
+    repeated in any object, "problems", "algorithms" or "grid" not a list (of objects,
+    but "grid"), or an entry's name, source, id or label not a string raises naming it.
     """
     doc = json.loads(text, object_pairs_hook=_unique_keys)
     if not isinstance(doc, dict):
@@ -166,6 +166,10 @@ def read_plan_document(text: str, runs: int, own_keys: tuple[str, ...]) -> tuple
             raise ValueError(f"{key!r} must be a list, got {value!r}")
         if key in ("problems", "algorithms") and not all(isinstance(e, dict) for e in value):
             raise ValueError(f"{key!r} must be a list of objects, got {value!r}")
+        for name in {"problems": ("name", "source"), "algorithms": ("id", "label")}.get(key, ()):
+            for entry in value:
+                if not isinstance(entry.get(name, ""), str):
+                    raise ValueError(f"{name!r} in {key!r} must be a string, got {entry[name]!r}")
     fields = {
         "problems": tuple(ProblemSpec(**entry) for entry in doc.get("problems", ())),
         "runs_per_cell": doc.get("runs", runs),
@@ -469,8 +473,9 @@ def export_convergence_svg(
         raise ValueError(f"no successful cells for problem {problem!r}")
     curves = [(c.algorithm, c.mean_trajectory) for c in cells]
     length = len(curves[0][1])
-    lo = min(float(t.min()) for _, t in curves)
-    hi = max(float(t.max()) for _, t in curves)
+    # -inf is a legal score, so a mean can be non-finite: the axes span finite means only.
+    finite = np.concatenate([t[np.isfinite(t)] for _, t in curves])
+    lo, hi = (float(finite.min()), float(finite.max())) if finite.size else (0.0, 0.0)
     if hi == lo:
         hi = lo + 1.0
     pad = 0.05 * (hi - lo)
@@ -506,9 +511,8 @@ def export_convergence_svg(
                            f'transform="rotate(-90 18 {mid_y})"'))
     for k, (label, trajectory) in enumerate(curves):
         color = _PALETTE[k % len(_PALETTE)]
-        points = " ".join(
-            f"{x_at(i):.2f},{y_at(float(trajectory[i])):.2f}" for i in sample
-        )
+        shown = sample[np.isfinite(trajectory[sample])]  # a non-finite mean gets no point
+        points = " ".join(f"{x_at(i):.2f},{y_at(float(trajectory[i])):.2f}" for i in shown)
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>'
         )

@@ -574,14 +574,12 @@ def reference_sga_evolve(problem, config, rng):
     """sga_evolve with one crossover pass per pair: the bitwise reference for the fast path."""
     n = problem.size
     pop_size = config.population_size
-    tracker = _BestTracker(config.max_fitness_evaluations)
+    tracker = _BestTracker(config.max_fitness_evaluations, 1)
     population = rng.gen.integers(0, 2, size=(pop_size, n), dtype=np.uint8)
-    generations = 0
     while tracker.remaining:
-        generations += 1
         fitnesses = problem.batch(population)
         k = min(pop_size, tracker.remaining)
-        tracker.record(population[:k], fitnesses[:k])
+        tracker.record(population[None, :k], fitnesses[None, :k])
         if not tracker.remaining:
             break
         selection = fitnesses.astype(np.float64, copy=True)
@@ -603,7 +601,7 @@ def reference_sga_evolve(problem, config, rng):
         flips = rng.gen.random((pop_size, n)) < config.mutation_probability
         children ^= flips.astype(np.uint8)
         population = children
-    return tracker.result(generations)
+    return tracker.results()[0]
 
 
 class TestSgaEvolve:
@@ -755,32 +753,38 @@ FOLD_VALUES = st.one_of(
 
 class TestBestTracker:
     @given(
-        values=st.lists(FOLD_VALUES, min_size=1, max_size=60),
+        # 1-4 runs, each with its own values, all cut at the same generation boundaries.
+        values=st.integers(1, 60).flatmap(lambda k: st.lists(
+            st.lists(FOLD_VALUES, min_size=k, max_size=k), min_size=1, max_size=4)),
         cuts=st.lists(st.integers(1, 60), max_size=60),
     )
     @settings(max_examples=200, deadline=None)
     def test_chunked_record_matches_sequential_fold(self, values, cuts):
-        best, best_row, trajectory = -math.inf, None, []
-        for row, value in enumerate(values):
-            if value > best:
-                best, best_row = value, row
-            trajectory.append(best)
-
-        tracker = _BestTracker(len(values))
-        rows = np.arange(len(values), dtype=np.uint8)[:, None]
+        runs, k = len(values), len(values[0])
+        tracker = _BestTracker(k, runs)
+        rows = np.zeros((runs, k, 2), dtype=np.uint8)  # row i of run s holds [i, s]
+        rows[..., 0], rows[..., 1] = np.arange(k), np.arange(runs)[:, None]
         start = 0
-        for size in cuts + [len(values)]:
-            stop = min(start + size, len(values))
+        for size in cuts + [k]:
+            stop = min(start + size, k)
             if stop > start:
-                tracker.record(rows[start:stop], np.array(values[start:stop]))
+                tracker.record(rows[:, start:stop], np.array(values)[:, start:stop])
             start = stop
-        assert tracker.count == len(values)
-        assert tracker.trajectory.tobytes() == np.array(trajectory, dtype=np.float64).tobytes()
-        if best_row is None:
-            assert tracker.best_bits is None
-        else:
-            assert tracker.best_bits[0] == best_row
-            assert np.float64(tracker.best_fitness).tobytes() == np.float64(best).tobytes()
+        assert tracker.count == k
+
+        for s, run_values in enumerate(values):
+            best, best_row, trajectory = -math.inf, None, []
+            for row, value in enumerate(run_values):
+                if value > best:
+                    best, best_row = value, row
+                trajectory.append(best)
+            expected = np.array(trajectory, dtype=np.float64)
+            assert tracker.trajectory[s].tobytes() == expected.tobytes()
+            if best_row is None:
+                assert tracker.best_bits[s] is None
+            else:
+                assert tracker.best_bits[s].tolist() == [best_row, s]
+                assert np.float64(tracker.best_fitness[s]).tobytes() == np.float64(best).tobytes()
 
     @pytest.mark.parametrize("value", [math.nan, -math.inf])
     @pytest.mark.parametrize(
@@ -794,10 +798,10 @@ class TestBestTracker:
             evolve(ConstantBatchProblem(6, value), config, RandomSource(0))
 
     def test_result_without_best_raises(self):
-        tracker = _BestTracker(2)
-        tracker.record(np.zeros((2, 3), dtype=np.uint8), [math.nan, -math.inf])
+        tracker = _BestTracker(2, 1)
+        tracker.record(np.zeros((1, 2, 3), dtype=np.uint8), [[math.nan, -math.inf]])
         with pytest.raises(ValueError, match="all NaN or -inf"):
-            tracker.result(1)
+            tracker.results()
 
 
 class TestBudgetParityAcrossEvolvers:
@@ -870,34 +874,6 @@ class TestQigaLockstep:
         for s, result in zip(seeds, results):
             assert same_run(result, qiga_evolve(problem, config, RandomSource(s)))
 
-    def test_batch_calls_are_two_dimensional_and_capped(self):
-        # 25 runs x 10 samples = 250 rows a generation: calls of 100, 100 and 50 rows.
-        problem = BatchSpy(load_problem("3sat:20:80:4"))
-        config = QigaConfig(max_fitness_evaluations=95)
-        results = qiga_lockstep(problem, config, [RandomSource(s) for s in range(25)])
-        assert all(len(shape) == 2 and shape[1] == 20 for shape in problem.shapes)
-        assert max(rows for rows, _ in problem.shapes) == BATCH_ROWS
-        assert sum(rows for rows, _ in problem.shapes) == 25 * 95
-        for s in (0, 24):
-            assert same_run(results[s], qiga_evolve(problem.inner, config, RandomSource(s)))
-
-    def test_scalar_only_problem_sees_each_runs_rows_in_sample_order(self):
-        # Each generation is scored run after run, each run's rows in the order drawn.
-        config = QigaConfig(order=3, quantum_population_size=3, samples_per_individual=2,
-                            max_fitness_evaluations=203)
-        problem = RecordingProblem(pair_trap(4))
-        qiga_lockstep(problem, config, [RandomSource(s) for s in (7, 8, 9)])
-        per_run = []
-        for s in (7, 8, 9):
-            single = RecordingProblem(pair_trap(4))
-            qiga_evolve(single, config, RandomSource(s))
-            per_run.append(single.calls)
-        expected = [row for first in range(0, 203, 6) for calls in per_run
-                    for row in calls[first : first + 6]]
-        assert len(problem.calls) == 3 * 203
-        assert np.array_equal(np.array(problem.calls), np.array(expected))
-
-
 
 DISTINCT_TABLE = {k: 0.01 * (1 + k[0] + 2 * k[1] + 4 * k[2]) for k in default_rotation_table()}
 
@@ -935,21 +911,6 @@ class TestQiga1Lockstep:
             assert result.best_fitness == ref_fitness
             assert result.trajectory.tobytes() == ref_trajectory.tobytes()
             assert (result.evaluations, result.generations) == (budget, -(-budget // pop))
-
-    def test_scalar_only_problem_sees_each_runs_rows_in_sample_order(self):
-        # Each generation is scored run after run, each run's rows in the order drawn.
-        config = Qiga1Config(quantum_population_size=6, max_fitness_evaluations=203)
-        problem = RecordingProblem(pair_trap(4))
-        qiga1_lockstep(problem, config, [RandomSource(s) for s in (7, 8, 9)])
-        per_run = []
-        for s in (7, 8, 9):
-            single = RecordingProblem(pair_trap(4))
-            qiga1_evolve(single, config, RandomSource(s))
-            per_run.append(single.calls)
-        expected = [row for first in range(0, 203, 6) for calls in per_run
-                    for row in calls[first : first + 6]]
-        assert len(problem.calls) == 3 * 203
-        assert np.array_equal(np.array(problem.calls), np.array(expected))
 
     def test_batch_problem_is_scored_by_one_scalar_call_per_row(self):
         # `benchmarks/run.py --trace 1` divides fitness time by the number of scalar
@@ -1003,43 +964,59 @@ class TestSgaLockstep:
             state = rng.gen.bit_generator.state
             assert state == single.gen.bit_generator.state == reference.gen.bit_generator.state
 
-    def test_scalar_only_problem_sees_each_runs_rows_generation_by_generation(self):
-        # Each generation is scored run after run, each run's population in order.
-        config = SgaConfig(population_size=6, generations=5)
-        problem = RecordingProblem(pair_trap(4))
-        sga_lockstep(problem, config, [RandomSource(s) for s in (7, 8, 9)])
-        per_run = []
-        for s in (7, 8, 9):
-            single = RecordingProblem(pair_trap(4))
-            sga_evolve(single, config, RandomSource(s))
-            per_run.append(single.calls)
-        expected = [row for first in range(0, 30, 6) for calls in per_run
-                    for row in calls[first : first + 6]]
-        assert len(problem.calls) == 3 * 30
-        assert np.array_equal(np.array(problem.calls), np.array(expected))
 
-    def test_batch_calls_are_two_dimensional_and_capped(self):
-        # 25 runs x 10 individuals = 250 rows a generation: calls of 100, 100 and 50 rows.
-        problem = BatchSpy(load_problem("3sat:20:80:4"))
-        config = SgaConfig(population_size=10, generations=4)
-        results = sga_lockstep(problem, config, [RandomSource(s) for s in range(25)])
-        assert problem.shapes == [(100, 20), (100, 20), (50, 20)] * 4
-        for s in (0, 24):
-            assert same_run(results[s], sga_evolve(problem.inner, config, RandomSource(s)))
+@pytest.mark.parametrize("lockstep, evolve, config, evaluations", [
+    pytest.param(qiga_lockstep, qiga_evolve,
+                 QigaConfig(order=3, quantum_population_size=3, samples_per_individual=2,
+                            max_fitness_evaluations=203), 203, id="qiga"),
+    pytest.param(qiga1_lockstep, qiga1_evolve,
+                 Qiga1Config(quantum_population_size=6, max_fitness_evaluations=203), 203,
+                 id="qiga1"),
+    pytest.param(sga_lockstep, sga_evolve, SgaConfig(population_size=6, generations=5), 30,
+                 id="sga"),
+])
+def test_scalar_only_problem_sees_each_runs_rows_in_sample_order(lockstep, evolve, config,
+                                                                  evaluations):
+    # Each generation of 6 rows is scored run after run, each run's rows in the order drawn.
+    problem = RecordingProblem(pair_trap(4))
+    lockstep(problem, config, [RandomSource(s) for s in (7, 8, 9)])
+    per_run = []
+    for s in (7, 8, 9):
+        single = RecordingProblem(pair_trap(4))
+        evolve(single, config, RandomSource(s))
+        per_run.append(single.calls)
+    expected = [row for first in range(0, evaluations, 6) for calls in per_run
+                for row in calls[first : first + 6]]
+    assert len(problem.calls) == 3 * evaluations
+    assert np.array_equal(np.array(problem.calls), np.array(expected))
+
+
+@pytest.mark.parametrize("lockstep, evolve, config, shapes", [
+    # 25 runs x 10 samples = 250 rows a generation: calls of 100, 100 and 50 rows;
+    # the last of 10 generations has 5 samples a run, 125 rows.
+    pytest.param(qiga_lockstep, qiga_evolve, QigaConfig(max_fitness_evaluations=95),
+                 [(100, 20), (100, 20), (50, 20)] * 9 + [(100, 20), (25, 20)], id="qiga"),
+    # 25 runs x 10 individuals = 250 rows a generation, 4 generations.
+    pytest.param(sga_lockstep, sga_evolve, SgaConfig(population_size=10, generations=4),
+                 [(100, 20), (100, 20), (50, 20)] * 4, id="sga"),
+])
+def test_batch_calls_are_two_dimensional_and_capped(lockstep, evolve, config, shapes):
+    problem = BatchSpy(load_problem("3sat:20:80:4"))
+    results = lockstep(problem, config, [RandomSource(s) for s in range(25)])
+    assert problem.shapes == shapes
+    assert max(rows for rows, _ in problem.shapes) == BATCH_ROWS
+    for s in (0, 24):
+        assert same_run(results[s], evolve(problem.inner, config, RandomSource(s)))
 
 
 @pytest.mark.parametrize("engine, config", [
-    (qiga_lockstep, QigaConfig(max_fitness_evaluations=20)),
-    (qiga1_lockstep, Qiga1Config(max_fitness_evaluations=20)),
+    pytest.param(qiga_lockstep, QigaConfig(max_fitness_evaluations=20), id="qiga"),
+    pytest.param(qiga1_lockstep, Qiga1Config(max_fitness_evaluations=20), id="qiga1"),
+    pytest.param(sga_lockstep, SgaConfig(population_size=4, generations=5), id="sga"),
 ])
 def test_lockstep_without_random_sources_names_the_cause(engine, config):
     with pytest.raises(ValueError, match="at least one random source, got none"):
         engine(onemax(4), config, [])
-
-
-def test_sga_lockstep_without_random_sources_names_the_cause():
-    with pytest.raises(ValueError, match="at least one random source, got none"):
-        sga_lockstep(onemax(4), SgaConfig(population_size=4, generations=5), [])
 
 
 INT_FIELDS = [

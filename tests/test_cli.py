@@ -591,6 +591,30 @@ class TestConfigTypesAndDocumentShapes:
         assert code == 2
         assert named in err
 
+    @pytest.mark.parametrize("command, key, entry, name", [
+        ("bench", "problems", {"name": 7, "source": "onemax:6"}, "name"),
+        ("bench", "problems", {"name": "om6", "source": 6}, "source"),
+        ("bench", "algorithms", {"id": ["qiga2"]}, "id"),
+        ("bench", "algorithms", {"id": "qiga2", "label": 3}, "label"),
+        ("meta", "problems", {"name": "om6", "source": 6}, "source"),
+    ], ids=["plan-name", "plan-source", "plan-id", "plan-label", "spec-source"])
+    def test_non_string_entry_field_fails_naming_it(self, capsys, tmp_path, monkeypatch,
+                                                    command, key, entry, name):
+        calls = []
+        monkeypatch.setattr("hoqiga.cli.run_experiment", calls.append)
+        monkeypatch.setattr(hoqiga.metaopt, "run_experiment", calls.append)
+        doc = {**(self.PLAN if command == "bench" else self.SPEC), key: [entry]}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        if command == "bench":
+            args = ["--plan", str(path), "--outdir", str(tmp_path / "out")]
+        else:
+            args = ["--spec", str(path)]
+        code, _, err = invoke(capsys, command, *args)
+        assert code == 2
+        assert f"{name!r} in {key!r} must be a string, got {entry[name]!r}" in err
+        assert calls == [] and not (tmp_path / "out").exists()
+
     # json.dumps cannot repeat a key, so these documents are written out by hand.
     @pytest.mark.parametrize("text, key", [
         ('{"runs": 3, "runs": 5, "max_fitness_evaluations": 100, "problems": '

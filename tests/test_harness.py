@@ -407,6 +407,22 @@ class TestExports:
         assert "mean best fitness" in text
         assert "qiga2" in text and "sga" in text
 
+    def test_svg_skips_non_finite_means(self, tmp_path):
+        # -inf is a legal score, so a trajectory can start at -inf, and the mean of a
+        # -inf and an inf score is NaN.  Neither reaches the axes or a polyline.
+        result = synthetic_result({("p", "a"): 1.0, ("p", "b"): 2.0})
+        a, b = result.cells
+        a.runs[0].trajectory = np.array([-np.inf, -np.inf, 2.0, 3.0, 3.0])
+        b.runs[0].trajectory = np.array([np.inf, -np.inf, 1.0, 1.0, 4.0])
+        b.runs[1].trajectory = np.array([-np.inf, 0.5, 1.0, 1.0, 4.0])
+        with np.errstate(invalid="ignore"):  # inf + -inf in the mean
+            text = export_convergence_svg(result, "p", tmp_path / "p.svg").read_text()
+        points = re.findall(r'points="([^"]*)"', text)
+        assert [len(p.split()) for p in points] == [3, 3]
+        coordinates = [float(v) for p in points for pair in p.split() for v in pair.split(",")]
+        assert np.isfinite(coordinates).all()
+        assert "nan" not in text and "inf" not in text
+
     def test_svg_unknown_problem(self, tmp_path):
         result = run_experiment(small_plan())
         with pytest.raises(ValueError):
@@ -471,23 +487,33 @@ class NanOneMax(FitnessFunction):
 
 
 class TestLockstepGroups:
-    def test_small_group_budget_splits_a_chunk_without_changing_results(self, monkeypatch):
-        # Four cells at jobs 1 make one 7-seed chunk per cell.  onemax:6 at order 2
-        # counts 3 * 4 amplitudes (+1 for the missing tail) per run, so a budget of
-        # 39 splits its chunk into groups of 3, 3 and 1 seeds.
+    @pytest.mark.parametrize("engine, algorithm, amplitudes", [
+        # onemax:6 at order 2 counts 3 * 4 amplitudes (+1 for the missing tail) per run.
+        pytest.param("qiga_lockstep", small_plan().algorithms[0], 39, id="qiga2"),
+        # qiga1 with 3 quantum individuals on onemax:6 counts 2 * 3 * 6 = 36 amplitudes per run.
+        pytest.param("qiga1_lockstep", AlgorithmSpec("qiga1", (("quantum_population_size", 3),)),
+                     108, id="qiga1"),
+        # sga with 10 individuals on onemax:6 counts 10 * 6 = 60 bits per run.
+        pytest.param("sga_lockstep", small_plan().algorithms[1], 180, id="sga"),
+    ])
+    def test_small_group_budget_splits_a_chunk_without_changing_results(
+        self, monkeypatch, engine, algorithm, amplitudes
+    ):
+        # Four cells at jobs 1 make one 7-seed chunk per cell, and each budget splits
+        # the onemax:6 chunk into groups of 3, 3 and 1 seeds.
         problems = tuple(ProblemSpec(source, source)
                          for source in ("onemax:6", "trap:3", "onemax:5", "trap:2"))
-        plan = small_plan(problems=problems, algorithms=small_plan().algorithms[:1],
-                          runs_per_cell=7)
+        plan = small_plan(problems=problems, algorithms=(algorithm,), runs_per_cell=7)
         whole = run_experiment(plan)
         groups = []
+        lockstep = getattr(hoqiga.algorithms, engine)
 
         def spy(problem, config, rngs):
             groups.append([rng.seed for rng in rngs])
-            return hoqiga.algorithms.qiga_lockstep(problem, config, rngs)
+            return lockstep(problem, config, rngs)
 
-        monkeypatch.setattr(hoqiga.harness, "qiga_lockstep", spy)
-        monkeypatch.setattr(hoqiga.algorithms._PackedRegisters, "LOCKSTEP_AMPLITUDES", 39)
+        monkeypatch.setattr(hoqiga.harness, engine, spy)
+        monkeypatch.setattr(hoqiga.algorithms._PackedRegisters, "LOCKSTEP_AMPLITUDES", amplitudes)
         split = run_experiment(plan)
         assert groups[:3] == [[11, 12, 13], [14, 15, 16], [17]]
 
@@ -502,6 +528,16 @@ class TestLockstepGroups:
             (seed, r.best_fitness, bits_to_string(r.best_bits), r.trajectory.tobytes())
             for seed, r in zip(range(11, 18), direct)
         ]
+
+    @pytest.mark.parametrize("config, too_many_genes", [
+        # 65536 // (2 * 10 * 250) = 13 qiga1 seeds per group on a 250-gene problem.
+        pytest.param(AlgorithmSpec("qiga1").build(5000), 10**5, id="qiga1"),
+        # 65536 // (20 * 250) = 13 sga seeds per group on a 250-gene problem.
+        pytest.param(SgaConfig(population_size=20, generations=250), 10**4, id="sga"),
+    ])
+    def test_groups_fill_the_amplitude_budget(self, config, too_many_genes):
+        assert hoqiga.algorithms.lockstep_group_size(config, 250) == 13
+        assert hoqiga.algorithms.lockstep_group_size(config, too_many_genes) == 1
 
     def test_failing_group_logs_its_seed_range(self, caplog, monkeypatch):
         caplog.set_level(logging.DEBUG, logger="hoqiga.harness")
@@ -517,82 +553,6 @@ class TestLockstepGroups:
         assert len(result.cell("om6", "qiga2").runs) == 7
         assert "run qiga2 seeds 11-17 failed" in caplog.text
         assert "run sga seeds 11-17 failed" in caplog.text
-
-    def test_small_group_budget_splits_a_qiga1_chunk_without_changing_results(self, monkeypatch):
-        # Four cells at jobs 1 make one 7-seed chunk per cell.  qiga1 with 3 quantum
-        # individuals on onemax:6 counts 2 * 3 * 6 = 36 amplitudes per run, so a budget
-        # of 108 splits its chunk into groups of 3, 3 and 1 seeds.
-        problems = tuple(ProblemSpec(source, source)
-                         for source in ("onemax:6", "trap:3", "onemax:5", "trap:2"))
-        plan = small_plan(problems=problems, runs_per_cell=7,
-                          algorithms=(AlgorithmSpec("qiga1", (("quantum_population_size", 3),)),))
-        whole = run_experiment(plan)
-        groups = []
-
-        def spy(problem, config, rngs):
-            groups.append([rng.seed for rng in rngs])
-            return hoqiga.algorithms.qiga1_lockstep(problem, config, rngs)
-
-        monkeypatch.setattr(hoqiga.harness, "qiga1_lockstep", spy)
-        monkeypatch.setattr(hoqiga.algorithms._PackedRegisters, "LOCKSTEP_AMPLITUDES", 108)
-        split = run_experiment(plan)
-        assert groups[:3] == [[11, 12, 13], [14, 15, 16], [17]]
-
-        def records(cell):
-            return [(r.seed, r.best_fitness, r.best_bits, r.trajectory.tobytes())
-                    for r in cell.runs]
-
-        assert [records(cell) for cell in split.cells] == [records(cell) for cell in whole.cells]
-        problem, aspec = problems[0].load(), plan.algorithms[0]
-        direct = [aspec.run(problem, seed, aspec.build(100)) for seed in range(11, 18)]
-        assert records(split.cells[0]) == [
-            (seed, r.best_fitness, bits_to_string(r.best_bits), r.trajectory.tobytes())
-            for seed, r in zip(range(11, 18), direct)
-        ]
-
-    def test_qiga1_groups_fill_the_amplitude_budget(self):
-        # 65536 // (2 * 10 * 250) = 13 qiga1 seeds per group on a 250-gene problem.
-        config = AlgorithmSpec("qiga1").build(5000)
-        assert hoqiga.algorithms.lockstep_group_size(config, 250) == 13
-        assert hoqiga.algorithms.lockstep_group_size(config, 10**5) == 1
-
-    def test_small_group_budget_splits_an_sga_chunk_without_changing_results(self, monkeypatch):
-        # Four cells at jobs 1 make one 7-seed chunk per cell.  sga with 10 individuals
-        # on onemax:6 counts 10 * 6 = 60 bits per run, so a budget of 180 splits its
-        # chunk into groups of 3, 3 and 1 seeds.
-        problems = tuple(ProblemSpec(source, source)
-                         for source in ("onemax:6", "trap:3", "onemax:5", "trap:2"))
-        plan = small_plan(problems=problems, runs_per_cell=7,
-                          algorithms=small_plan().algorithms[1:])
-        whole = run_experiment(plan)
-        groups = []
-
-        def spy(problem, config, rngs):
-            groups.append([rng.seed for rng in rngs])
-            return hoqiga.algorithms.sga_lockstep(problem, config, rngs)
-
-        monkeypatch.setattr(hoqiga.harness, "sga_lockstep", spy)
-        monkeypatch.setattr(hoqiga.algorithms._PackedRegisters, "LOCKSTEP_AMPLITUDES", 180)
-        split = run_experiment(plan)
-        assert groups[:3] == [[11, 12, 13], [14, 15, 16], [17]]
-
-        def records(cell):
-            return [(r.seed, r.best_fitness, r.best_bits, r.trajectory.tobytes())
-                    for r in cell.runs]
-
-        assert [records(cell) for cell in split.cells] == [records(cell) for cell in whole.cells]
-        problem, aspec = problems[0].load(), plan.algorithms[0]
-        direct = [aspec.run(problem, seed, aspec.build(100)) for seed in range(11, 18)]
-        assert records(split.cells[0]) == [
-            (seed, r.best_fitness, bits_to_string(r.best_bits), r.trajectory.tobytes())
-            for seed, r in zip(range(11, 18), direct)
-        ]
-
-    def test_sga_groups_fill_the_amplitude_budget(self):
-        # 65536 // (20 * 250) = 13 sga seeds per group on a 250-gene problem.
-        config = SgaConfig(population_size=20, generations=250)
-        assert hoqiga.algorithms.lockstep_group_size(config, 250) == 13
-        assert hoqiga.algorithms.lockstep_group_size(config, 10**4) == 1
 
     def test_failing_sga_group_logs_its_seed_range(self, caplog, monkeypatch):
         caplog.set_level(logging.DEBUG, logger="hoqiga.harness")
