@@ -240,7 +240,8 @@ class CellResult:
 
     @property
     def mean_trajectory(self) -> np.ndarray:
-        return np.mean([r.trajectory for r in self.runs], axis=0)
+        with np.errstate(invalid="ignore"):  # inf and -inf at one evaluation give NaN
+            return np.mean([r.trajectory for r in self.runs], axis=0)
 
 
 @dataclass

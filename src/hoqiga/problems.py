@@ -70,18 +70,19 @@ class CnfFormula:
         return self.weights is not None
 
     @cached_property
-    def _packed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _packed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
         """Literal matrix for vectorised evaluation.
 
-        Returns (var_index, negated, weight): the first two have shape
-        (width, clauses), so the OR over a clause runs along the short
-        leading axis.  Short clauses repeat their first literal, which leaves
-        the OR unchanged.
+        Returns (var_index, negated, weight, literal): all but weight (None if unweighted)
+        have shape (width, clauses), so the OR over a clause runs along the short leading
+        axis.  literal = var_index + variables * negated indexes the gene-major table
+        [genes != 0, genes != 1].  Short clauses repeat their first literal (OR unchanged).
         """
         width = max(len(c) for c in self.clauses)
         lits = np.array([c + c[:1] * (width - len(c)) for c in self.clauses]).T.copy()
-        w = np.ones(self.clause_count) if self.weights is None else np.array(self.weights)
-        return np.abs(lits) - 1, lits < 0, w
+        var, neg = np.abs(lits) - 1, lits < 0
+        w = None if self.weights is None else np.array(self.weights)
+        return var, neg, w, var + self.variable_count * neg
 
 
 def parse_dimacs(source: str | IO[str]) -> CnfFormula:
@@ -223,7 +224,8 @@ class FitnessFunction:
 
 
 class MaxSat(FitnessFunction):
-    """(Weighted) satisfied-clause count of a CNF formula."""
+    """(Weighted) satisfied-clause count of a CNF formula: unweighted batches count exactly,
+    gathered gene-major; a weighted formula sums each row's weights row-major."""
 
     def __init__(self, formula: CnfFormula, name: str = ""):
         super().__init__(
@@ -234,11 +236,16 @@ class MaxSat(FitnessFunction):
         self.formula = formula
 
     def batch(self, bits: np.ndarray) -> np.ndarray:
-        var, neg, w = self.formula._packed
+        var, neg, w, lit = self.formula._packed
+        bits = self._rows(bits)
+        if w is None and bits.ndim > 1:  # a count is exact in any order
+            table = np.concatenate([bits.T != 0, bits.T != 1])  # (2n, ...): take() copies rows
+            satisfied = np.logical_or.reduce(table.take(lit, axis=0))  # (clauses, ...)
+            return np.count_nonzero(satisfied, axis=0).T.astype(np.float64)
         # take() keeps every intermediate C-contiguous, so each row's weighted
         # sum runs in the same order at any batch shape.
-        satisfied = (np.take(self._rows(bits), var, axis=-1) != neg).any(axis=-2)
-        return (satisfied * w).sum(axis=-1)
+        satisfied = (bits.take(var, axis=-1) != neg).any(axis=-2)
+        return np.float64(np.count_nonzero(satisfied)) if w is None else (satisfied * w).sum(-1)
 
 
 def maxsat_fitness(formula: CnfFormula, bits: BitString) -> float:

@@ -4,6 +4,7 @@ import csv
 import json
 import logging
 import re
+import warnings
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -415,7 +416,8 @@ class TestExports:
         a.runs[0].trajectory = np.array([-np.inf, -np.inf, 2.0, 3.0, 3.0])
         b.runs[0].trajectory = np.array([np.inf, -np.inf, 1.0, 1.0, 4.0])
         b.runs[1].trajectory = np.array([-np.inf, 0.5, 1.0, 1.0, 4.0])
-        with np.errstate(invalid="ignore"):  # inf + -inf in the mean
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # inf + -inf in the mean warns nothing
             text = export_convergence_svg(result, "p", tmp_path / "p.svg").read_text()
         points = re.findall(r'points="([^"]*)"', text)
         assert [len(p.split()) for p in points] == [3, 3]

@@ -209,6 +209,16 @@ def _weighted_3sat(n_vars: int, clause_count: int, seed: int) -> CnfFormula:
     return CnfFormula(n_vars, formula.clauses, weights)
 
 
+# One-literal clauses, repeated literals and tautologies among random 3-SAT clauses.
+EDGE_CLAUSES = ((3,), (-7,), (2, 2, -5), (-30, -30), (1, -1), (4, -4, 9)) + tuple(
+    generate_uniform_3sat(30, 60, RandomSource(5)).clauses
+)
+
+
+def _edge_weights(seed: int) -> tuple[float, ...]:
+    return tuple(0.1 + 10 * RandomSource(seed).uniforms(len(EDGE_CLAUSES)))
+
+
 BATCH_PROBLEMS = {
     "onemax13": lambda: OneMax(13),
     "trap4": lambda: pair_trap(4),
@@ -216,6 +226,8 @@ BATCH_PROBLEMS = {
     "cnf12": lambda: MaxSat(generate_uniform_3sat(12, 50, RandomSource(8))),
     "cnf50": lambda: MaxSat(generate_uniform_3sat(50, 215, RandomSource(2))),
     "wcnf50": lambda: MaxSat(_weighted_3sat(50, 215, 3)),
+    "cnf30edge": lambda: MaxSat(CnfFormula(30, EDGE_CLAUSES)),
+    "wcnf30edge": lambda: MaxSat(CnfFormula(30, EDGE_CLAUSES, _edge_weights(6))),
 }
 
 
@@ -223,11 +235,13 @@ class TestOneEvaluator:
     @given(
         name=st.sampled_from(sorted(BATCH_PROBLEMS)),
         first_seed=st.integers(0, 10**6),
-        rows=st.sampled_from([1, 2, 7, 30, 40, 200]),
+        rows=st.sampled_from([1, 2, 7, 30, 40, 100, 101, 200]),
     )
     @example(name="cnf12", first_seed=0, rows=40)
     @example(name="trap4", first_seed=0, rows=30)
     @example(name="wcnf50", first_seed=0, rows=200)
+    @example(name="cnf30edge", first_seed=0, rows=101)
+    @example(name="wcnf30edge", first_seed=0, rows=100)
     @settings(max_examples=60, deadline=None)
     def test_batch_matches_single_bitwise(self, name, first_seed, rows):
         problem = BATCH_PROBLEMS[name]()
@@ -236,6 +250,19 @@ class TestOneEvaluator:
         assert values.dtype == np.float64
         singles = np.array([problem(row) for row in bits])
         assert values.tobytes() == singles.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.bool_, np.int64])
+    @pytest.mark.parametrize("shape", [(), (1,), (2,), (10,), (101,), (3, 4)])
+    def test_unweighted_count_matches_unit_weight_sum(self, shape, dtype):
+        # Unit weights take the weighted row-major sum, so this pins the exact count to it.
+        count = MaxSat(CnfFormula(30, EDGE_CLAUSES))
+        unit = MaxSat(CnfFormula(30, EDGE_CLAUSES, (1.0,) * len(EDGE_CLAUSES)))
+        high = 3 if dtype is np.int64 else 2  # an int64 2 is true under both signs
+        bits = np.random.default_rng(7).integers(0, high, size=shape + (30,)).astype(dtype)
+        values, expected = count.batch(bits), unit.batch(bits)
+        assert values.shape == expected.shape == shape
+        assert values.dtype == expected.dtype == np.float64
+        assert values.tobytes() == expected.tobytes()
 
     def test_scalar_only_subclass_gets_batch(self):
         class Ones(FitnessFunction):
