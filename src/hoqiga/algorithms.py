@@ -8,7 +8,7 @@
   knobs only set the generation size; qiga_lockstep advances many seeds at once.
 * qiga1_evolve: the classic order-1 baseline with per-qubit rotation gates
   driven by a lookup table; each quantum individual keeps its own state, and
-  qiga1_lockstep advances many seeds at once.
+  qiga1_lockstep advances many seeds at once on one alpha and one beta plane.
 * sga_evolve: generational GA with roulette selection, single-point crossover
   and per-bit mutation; sga_lockstep advances many seeds at once.
 
@@ -165,14 +165,16 @@ class _BestTracker:
     The runs share one evaluation and one generation count, since their generations are
     equal in size.  Each run records its best-so-far fitness after each evaluation; ties
     keep the earliest individual, so the trajectory is nondecreasing and the winner is
-    the first to reach the top fitness.  A NaN fitness never becomes best.
+    the first to reach the top fitness.  A NaN fitness never becomes best.  The best bits
+    live in one (runs, n) uint8 array, allocated by the first record; a run whose best
+    fitness is still -inf has no best yet.
     """
 
     def __init__(self, budget: int, runs: int):
         self.budget = budget
         self.count = 0
         self.generations = 0
-        self.best_bits: list[BitString | None] = [None] * runs
+        self.best_bits: np.ndarray | None = None
         self.best_fitness = [-math.inf] * runs
         self.trajectory = np.empty((runs, budget), dtype=np.float64)
 
@@ -183,20 +185,23 @@ class _BestTracker:
     @property
     def best(self) -> np.ndarray:
         """The (runs, n) best bits so far; ValueError when a run has no fitness above -inf."""
-        if any(bits is None for bits in self.best_bits):
+        if -math.inf in self.best_fitness:
             raise ValueError(f"no fitness above -inf in {self.count} evaluations (all NaN or -inf)")
-        return np.stack(self.best_bits)
+        return self.best_bits
 
     def record(self, bits: np.ndarray, fitness) -> None:
         """Fold run s's rows bits[s], scored fitness[s], in order; only a fitter row is best."""
         fitness = np.asarray(fitness, dtype=np.float64)
+        if self.best_bits is None:
+            self.best_bits = np.zeros((len(self.best_fitness), bits.shape[-1]), dtype=np.uint8)
         for s, values in enumerate(fitness.tolist()):
-            best = self.best_fitness[s]
+            best, best_row = self.best_fitness[s], None
             for row, value in enumerate(values):
                 if value > best:
-                    best, self.best_bits[s] = value, np.array(bits[s, row], dtype=np.uint8)
+                    best, best_row = value, row
                 self.trajectory[s, self.count + row] = best
-            self.best_fitness[s] = best
+            if best_row is not None:
+                self.best_bits[s], self.best_fitness[s] = bits[s, best_row], best
         self.count += fitness.shape[1]
         self.generations += 1
 
@@ -278,7 +283,7 @@ class _PackedRegisters:
     def observe(self, k: int, rngs: list[RandomSource]) -> np.ndarray:
         """A (runs, k, n) array of samples; run s draws as k observe_chromosome calls on rngs[s]."""
         runs = len(rngs)
-        draws = np.stack([rng.uniforms(k * self.registers_per_individual) for rng in rngs])
+        draws = np.concatenate([rng.uniforms(k * self.registers_per_individual) for rng in rngs])
         draws = draws.reshape(runs, k, -1)
         parts = []
         first = 0
@@ -400,20 +405,20 @@ def qiga1_lockstep(
 ) -> list[RunResult]:
     """qiga1_evolve on each random source, all runs advanced one generation at a time.
 
-    The qubits of all runs form one (runs, pop, n, 2) state, and one _BestTracker folds
-    each sampled row's problem(row) score, run-major in sample order.  Result s equals
-    qiga1_evolve(problem, config, rngs[s]) byte for byte.
+    The qubits of all runs form one (2, runs, pop, n) state, an alpha plane then a beta
+    plane, and one _BestTracker folds each sampled row's problem(row) score, run-major in
+    sample order.  Result s equals qiga1_evolve(problem, config, rngs[s]) byte for byte.
     """
     n = _check_problem(problem, len(rngs))
     runs, pop = len(rngs), config.quantum_population_size
     table = config.table_array()
     cos_table, sin_table = np.cos(table).ravel(), np.sin(table).ravel()
-    state = np.full((runs, pop, n, 2), math.sqrt(0.5))
+    state = np.full((2, runs, pop, n), math.sqrt(0.5))
     tracker = _BestTracker(config.max_fitness_evaluations, runs)
     while tracker.remaining:
         k = min(pop, tracker.remaining)
-        draws = np.stack([rng.uniforms(k * n) for rng in rngs]).reshape(runs, k, n)
-        bits = (draws >= state[:, :k, :, 0] ** 2).astype(np.uint8)
+        draws = np.concatenate([rng.uniforms(k * n) for rng in rngs]).reshape(runs, k, n)
+        bits = (draws >= state[0, :, :k] ** 2).astype(np.uint8)
         fitness = np.array([problem(row) for row in bits.reshape(-1, n)]).reshape(runs, k)
         tracker.record(bits, fitness)
         if not tracker.remaining:
@@ -421,10 +426,10 @@ def qiga1_lockstep(
         # Only a full generation gets here, so every individual rotates.
         at_least_best = fitness >= np.array(tracker.best_fitness)[:, None]
         index = 4 * bits + 2 * tracker.best[:, None] + at_least_best[..., None]  # flat [x, b, cmp]
-        cos_d, sin_d = cos_table[index], sin_table[index]
-        alpha, beta = state[..., 0], state[..., 1]
-        state[..., 0], state[..., 1] = cos_d * alpha - sin_d * beta, sin_d * alpha + cos_d * beta
-        _clamp_poles(state, config.epsilon_guard)
+        cos_d, sin_d = cos_table.take(index), sin_table.take(index)
+        alpha, beta = state
+        state[0], state[1] = cos_d * alpha - sin_d * beta, sin_d * alpha + cos_d * beta
+        _clamp_poles(np.moveaxis(state, 0, -1), config.epsilon_guard)
     return tracker.results()
 
 

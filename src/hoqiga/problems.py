@@ -43,6 +43,8 @@ class CnfFormula:
         self.clauses = tuple(tuple(c) for c in self.clauses)
         if self.variable_count < 1:
             raise ValueError(f"variable count must be >= 1, got {self.variable_count}")
+        if not self.clauses:
+            raise ValueError("formula has no clauses, so every assignment would score 0")
         for i, clause in enumerate(self.clauses):
             if not clause:
                 raise ValueError(f"clause {i} is empty")
@@ -75,14 +77,15 @@ class CnfFormula:
 
         Returns (var_index, negated, weight, literal): all but weight (None if unweighted)
         have shape (width, clauses), so the OR over a clause runs along the short leading
-        axis.  literal = var_index + variables * negated indexes the gene-major table
+        axis; negated is uint8, the dtype of sampled bits.  literal = var_index + variables
+        * negated (summed from the bool mask, so it cannot wrap) indexes the gene-major table
         [genes != 0, genes != 1].  Short clauses repeat their first literal (OR unchanged).
         """
         width = max(len(c) for c in self.clauses)
         lits = np.array([c + c[:1] * (width - len(c)) for c in self.clauses]).T.copy()
         var, neg = np.abs(lits) - 1, lits < 0
         w = None if self.weights is None else np.array(self.weights)
-        return var, neg, w, var + self.variable_count * neg
+        return var, neg.astype(np.uint8), w, var + self.variable_count * neg
 
 
 def parse_dimacs(source: str | IO[str]) -> CnfFormula:
@@ -241,10 +244,12 @@ class MaxSat(FitnessFunction):
         if w is None and bits.ndim > 1:  # a count is exact in any order
             table = np.concatenate([bits.T != 0, bits.T != 1])  # (2n, ...): take() copies rows
             satisfied = np.logical_or.reduce(table.take(lit, axis=0))  # (clauses, ...)
-            return np.count_nonzero(satisfied, axis=0).T.astype(np.float64)
+            flat = satisfied.reshape(len(satisfied), -1).astype(np.float64)
+            # Every partial sum is an integer below 2**53, so the dot counts exactly.
+            return (np.ones(len(flat)) @ flat).reshape(satisfied.shape[1:]).T
         # take() keeps every intermediate C-contiguous, so each row's weighted
         # sum runs in the same order at any batch shape.
-        satisfied = (bits.take(var, axis=-1) != neg).any(axis=-2)
+        satisfied = np.logical_or.reduce(bits.take(var, axis=-1) != neg, axis=-2)
         return np.float64(np.count_nonzero(satisfied)) if w is None else (satisfied * w).sum(-1)
 
 
@@ -260,7 +265,7 @@ class OneMax(FitnessFunction):
         super().__init__(size=n, optimum=float(n), name=f"onemax-{n}")
 
     def batch(self, bits: np.ndarray) -> np.ndarray:
-        return self._rows(bits).sum(axis=-1, dtype=np.float64)
+        return np.add.reduce(self._rows(bits), axis=-1, dtype=np.float64)
 
 
 class PairTrap(FitnessFunction):
@@ -297,7 +302,7 @@ class PairTrap(FitnessFunction):
         bits = self._rows(bits)
         pairs = bits.reshape(*bits.shape[:-1], self.pairs, 2)
         groups = 2 * pairs[..., 0] + pairs[..., 1]
-        return self.pair_scores[groups].sum(axis=-1)
+        return np.add.reduce(self.pair_scores.take(groups), axis=-1)
 
 
 def onemax(n: int) -> FitnessFunction:

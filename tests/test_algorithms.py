@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hoqiga.algorithms import (
@@ -758,6 +758,8 @@ class TestBestTracker:
             st.lists(FOLD_VALUES, min_size=k, max_size=k), min_size=1, max_size=4)),
         cuts=st.lists(st.integers(1, 60), max_size=60),
     )
+    @example(values=[[math.nan], [1.0]], cuts=[])
+    @example(values=[[-math.inf, math.nan], [0.0, -0.0]], cuts=[1])
     @settings(max_examples=200, deadline=None)
     def test_chunked_record_matches_sequential_fold(self, values, cuts):
         runs, k = len(values), len(values[0])
@@ -772,6 +774,7 @@ class TestBestTracker:
             start = stop
         assert tracker.count == k
 
+        best_rows = []
         for s, run_values in enumerate(values):
             best, best_row, trajectory = -math.inf, None, []
             for row, value in enumerate(run_values):
@@ -780,11 +783,15 @@ class TestBestTracker:
                 trajectory.append(best)
             expected = np.array(trajectory, dtype=np.float64)
             assert tracker.trajectory[s].tobytes() == expected.tobytes()
-            if best_row is None:
-                assert tracker.best_bits[s] is None
-            else:
+            best_rows.append(best_row)
+            if best_row is not None:
                 assert tracker.best_bits[s].tolist() == [best_row, s]
                 assert np.float64(tracker.best_fitness[s]).tobytes() == np.float64(best).tobytes()
+        if None in best_rows:  # one run without a best leaves the group without one
+            with pytest.raises(ValueError, match="all NaN or -inf"):
+                tracker.best
+        else:
+            assert tracker.best.tolist() == [[row, s] for s, row in enumerate(best_rows)]
 
     @pytest.mark.parametrize("value", [math.nan, -math.inf])
     @pytest.mark.parametrize(

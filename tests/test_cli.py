@@ -382,6 +382,25 @@ class TestBenchCommand:
             assert len(rows) == 2 * 2 * 2
             assert "nanw" not in {r["problem"] for r in rows}
 
+    def test_formula_without_clauses_fails_only_its_cells(self, capsys, tmp_path):
+        cnf = tmp_path / "empty.cnf"
+        cnf.write_text("p cnf 3 0\n")
+        plan = json.loads(self.write_plan(tmp_path).read_text())
+        plan["problems"].append({"name": "empty", "source": str(cnf)})
+        (tmp_path / "plan.json").write_text(json.dumps(plan))
+        outdir = tmp_path / "out"
+        code, _, err = invoke(
+            capsys, "bench", "--plan", str(tmp_path / "plan.json"), "--outdir", str(outdir)
+        )
+        assert code == 3
+        failed = [line for line in err.splitlines() if line.startswith("failed: ")]
+        assert [line.split(":")[1].strip() for line in failed] == ["empty / qiga2", "empty / sga"]
+        for line in failed:
+            assert "cannot load problem" in line and "formula has no clauses" in line
+        rows = list(csv.DictReader((outdir / "runs.csv").open()))
+        assert len(rows) == 2 * 2 * 2
+        assert "empty" not in {r["problem"] for r in rows}
+
     def test_invalid_sga_population_fails_only_its_cell(self, capsys, tmp_path):
         plan = json.loads(self.write_plan(tmp_path).read_text())
         plan["algorithms"].append({"id": "sga", "population_size": 0, "label": "sga-empty"})

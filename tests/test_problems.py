@@ -64,6 +64,11 @@ class TestParseDimacs:
         with pytest.raises(DimacsParseError, match="empty clause"):
             parse_dimacs("p cnf 2 1\n0\n")
 
+    @pytest.mark.parametrize("text", ["p cnf 3 0\n", "p wcnf 3 0\n"])
+    def test_formula_without_clauses_rejected(self, text):
+        with pytest.raises(ValueError, match="formula has no clauses"):
+            parse_dimacs(text)
+
     def test_bad_token(self):
         with pytest.raises(DimacsParseError, match="line 2"):
             parse_dimacs("p cnf 2 1\n1 x 0\n")
@@ -263,6 +268,17 @@ class TestOneEvaluator:
         assert values.shape == expected.shape == shape
         assert values.dtype == expected.dtype == np.float64
         assert values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(BATCH_PROBLEMS))
+    def test_batch_shapes(self, name):
+        problem = BATCH_PROBLEMS[name]()
+        empty = problem.batch(np.zeros((0, problem.size), dtype=np.uint8))
+        assert empty.shape == (0,) and empty.dtype == np.float64
+        bits = np.random.default_rng(5).integers(0, 2, size=(3, 4, problem.size), dtype=np.uint8)
+        values = problem.batch(bits)
+        singles = np.array([[problem(row) for row in rows] for rows in bits])
+        assert values.shape == (3, 4) and values.dtype == np.float64
+        assert values.tobytes() == singles.tobytes()
 
     def test_scalar_only_subclass_gets_batch(self):
         class Ones(FitnessFunction):
