@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (BitString, QuantumChromosome, QuantumRegister, RENORM_TRIGGER, RandomSource,
-                   bits_to_group, check_int, chromosome_layout)
+                   MAX_ORDER, bits_to_group, check_int, check_real, chromosome_layout)
 from .problems import FitnessFunction
 
 logger = logging.getLogger(__name__)
@@ -46,6 +46,7 @@ def default_rotation_table(angle: float = 0.01 * math.pi) -> RotationTable:
     or when the observed individual is at least as fit (nothing better to
     steer toward).  Positive angles move probability toward bit value 1.
     """
+    check_real("angle", angle)
     table: RotationTable = {}
     for x in (0, 1):
         for b in (0, 1):
@@ -72,10 +73,11 @@ class QigaConfig:
         for name in ("order", "quantum_population_size", "samples_per_individual"):
             check_int(name, getattr(self, name), 1)
         check_int("max_fitness_evaluations", self.max_fitness_evaluations, 1)
+        if self.order > MAX_ORDER:  # chromosome_layout's bound, checked before any run
+            raise ValueError(f"order must be in [1, {MAX_ORDER}], got {self.order}")
+        check_real("contraction_factor", self.contraction_factor)
         if not 0.0 < self.contraction_factor < 1.0:
-            raise ValueError(
-                f"contraction factor must be in (0, 1), got {self.contraction_factor}"
-            )
+            raise ValueError(f"contraction factor must be in (0, 1), got {self.contraction_factor}")
         per_generation = self.quantum_population_size * self.samples_per_individual
         if self.max_fitness_evaluations < per_generation:
             raise ValueError(f"evaluation budget {self.max_fitness_evaluations} cannot cover one "
@@ -98,9 +100,12 @@ class Qiga1Config:
         expected = {(x, b, c) for x in (0, 1) for b in (0, 1) for c in (False, True)}
         if set(table) != expected:
             raise ValueError("rotation table must define all 8 (x, b, comparison) entries")
-        if any(abs(v) >= math.pi / 2 for v in table.values()):
-            raise ValueError("rotation angles must satisfy |angle| < pi/2")
+        for angle in table.values():
+            check_real("rotation angle", angle)
+            if abs(angle) >= math.pi / 2:
+                raise ValueError("rotation angles must satisfy |angle| < pi/2")
         object.__setattr__(self, "rotation_table", tuple(sorted(table.items())))
+        check_real("epsilon_guard", self.epsilon_guard)
         if not 0.0 <= self.epsilon_guard < 0.3:
             raise ValueError(f"epsilon guard must be in [0, 0.3), got {self.epsilon_guard}")
         check_int("quantum_population_size", self.quantum_population_size, 1)
@@ -122,30 +127,26 @@ class Qiga1Config:
 
 @dataclass(frozen=True)
 class SgaConfig:
-    """Knobs of the classical generational GA."""
+    """Knobs of the classical generational GA, budgeted in whole generations."""
 
     population_size: int = 100
-    generations: int = 50
     crossover_probability: float = 0.65
     mutation_probability: float = 0.05
+    max_fitness_evaluations: int = 5000
 
     def __post_init__(self):
         check_int("population_size", self.population_size)
         if self.population_size < 2 or self.population_size % 2 != 0:
-            raise ValueError(
-                f"population size must be even and >= 2, got {self.population_size}"
-            )
-        check_int("generations", self.generations, 1)
-        for name, p in (
-            ("crossover probability", self.crossover_probability),
-            ("mutation probability", self.mutation_probability),
-        ):
+            raise ValueError(f"population size must be even and >= 2, got {self.population_size}")
+        check_int("max_fitness_evaluations", self.max_fitness_evaluations, 1)
+        if self.max_fitness_evaluations % self.population_size:
+            raise ValueError(f"budget {self.max_fitness_evaluations} is not a whole number of "
+                             f"sga generations of {self.population_size} evaluations")
+        for name, p in (("crossover_probability", self.crossover_probability),
+                        ("mutation_probability", self.mutation_probability)):
+            check_real(name, p)
             if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {p}")
-
-    @property
-    def max_fitness_evaluations(self) -> int:
-        return self.population_size * self.generations
+                raise ValueError(f"{name.replace('_', ' ')} must be in [0, 1], got {p}")
 
 
 @dataclass

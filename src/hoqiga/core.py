@@ -9,6 +9,8 @@ distribution.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +32,12 @@ def check_int(name: str, value, least: int | None = None) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}, got {value!r}")
+
+
+def check_real(name: str, value) -> None:
+    """Raise a ValueError naming `name` unless value is a finite real number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
 class RandomSource:

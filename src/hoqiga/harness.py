@@ -66,9 +66,9 @@ class AlgorithmSpec:
     def build(self, max_fitness_evaluations: int):
         """Materialise the config for this spec under the shared budget.
 
-        Only the given params are passed on, mu as the contraction factor and
-        angle as the rotation table; every other knob keeps its config default.
-        A param the id does not accept raises a ValueError that names it.
+        Only the given params are passed on, mu as the contraction factor and a non-null
+        angle as the rotation table; other knobs keep their defaults.  The config checks
+        every value, the budget too; an unaccepted param or a missing order raises naming it.
         """
         config_type, accepted = ALGORITHMS[self.id]
         params = dict(self.params)
@@ -77,26 +77,14 @@ class AlgorithmSpec:
                 raise ValueError(
                     f"{self.id} takes no parameter {key!r}; it accepts {', '.join(accepted)}"
                 )
-        if config_type is QigaConfig:  # an id that takes no order runs at the default order 2
-            if "order" in accepted and "order" not in params:
-                raise ValueError(f"{self.id} requires an 'order' parameter")
-            if "mu" in params:
-                params["contraction_factor"] = params.pop("mu")
-            return QigaConfig(max_fitness_evaluations=max_fitness_evaluations, **params)
-        if config_type is Qiga1Config:
-            angle = params.pop("angle", None)
-            if angle is not None:
-                params["rotation_table"] = tuple(default_rotation_table(angle).items())
-            return Qiga1Config(max_fitness_evaluations=max_fitness_evaluations, **params)
-        # Validate the population before the budget is divided by it.
-        population = SgaConfig(**params).population_size
-        generations, remainder = divmod(max_fitness_evaluations, population)
-        if remainder or generations < 1:
-            raise ValueError(
-                f"budget {max_fitness_evaluations} is not a whole number of "
-                f"sga generations of {population} evaluations"
-            )
-        return SgaConfig(generations=generations, **params)
+        if "order" in accepted and "order" not in params:  # qiga2 runs at the default order 2
+            raise ValueError(f"{self.id} requires an 'order' parameter")
+        if "mu" in params:
+            params["contraction_factor"] = params.pop("mu")
+        angle = params.pop("angle", None)
+        if angle is not None:
+            params["rotation_table"] = tuple(default_rotation_table(angle).items())
+        return config_type(max_fitness_evaluations=max_fitness_evaluations, **params)
 
     def run_group(self, problem: FitnessFunction, seeds, config) -> list[RunResult]:
         """One run per seed with a config from build(), advanced together by its lockstep engine."""

@@ -2,6 +2,8 @@
 
 import logging
 import math
+import re
+import typing
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from hoqiga.algorithms import (
     update_quantum_population,
 )
 from hoqiga.core import (
+    MAX_ORDER,
     QuantumChromosome,
     QuantumRegister,
     RandomSource,
@@ -643,10 +646,11 @@ class TestSgaEvolve:
     def test_matches_per_pair_crossover_reference(self, source):
         problem = load_problem(source)
         configs = [
-            SgaConfig(population_size=20, generations=12),
-            SgaConfig(population_size=10, generations=15, crossover_probability=0.0),
-            SgaConfig(population_size=16, generations=10, crossover_probability=1.0,
-                      mutation_probability=0.01),
+            SgaConfig(population_size=20, max_fitness_evaluations=20 * 12),
+            SgaConfig(population_size=10, max_fitness_evaluations=10 * 15,
+                      crossover_probability=0.0),
+            SgaConfig(population_size=16, max_fitness_evaluations=16 * 10,
+                      crossover_probability=1.0, mutation_probability=0.01),
         ]
         for config in configs:
             for seed in range(5):
@@ -674,7 +678,7 @@ class TestSgaEvolve:
         # initial population's best.
         config = SgaConfig(
             population_size=20,
-            generations=10,
+            max_fitness_evaluations=20 * 10,
             crossover_probability=0.0,
             mutation_probability=0.0,
         )
@@ -684,7 +688,7 @@ class TestSgaEvolve:
         assert np.all(np.diff(result.trajectory) >= 0)
 
     def test_negative_fitness_shifted_for_selection(self, caplog):
-        config = SgaConfig(population_size=10, generations=5)
+        config = SgaConfig(population_size=10, max_fitness_evaluations=10 * 5)
         with caplog.at_level(logging.WARNING, logger="hoqiga.algorithms"):
             result = sga_evolve(NegatedOneMax(6), config, RandomSource(4))
         assert "shifted for roulette" in caplog.text
@@ -693,7 +697,7 @@ class TestSgaEvolve:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_fitness_names_the_cause(self, value):
-        config = SgaConfig(population_size=10, generations=3)
+        config = SgaConfig(population_size=10, max_fitness_evaluations=10 * 3)
         rng = RandomSource(5)
         message = r"generation 1: non-finite fitness \(NaN, inf or -inf\)"
         with pytest.raises(ValueError, match=message):
@@ -704,14 +708,14 @@ class TestSgaEvolve:
         assert rng.gen.bit_generator.state == expected.gen.bit_generator.state
 
     def test_all_zero_fitness_uniform_fallback(self, caplog):
-        config = SgaConfig(population_size=10, generations=3)
+        config = SgaConfig(population_size=10, max_fitness_evaluations=10 * 3)
         with caplog.at_level(logging.WARNING, logger="hoqiga.algorithms"):
             result = sga_evolve(ConstantProblem(5, value=0.0), config, RandomSource(6))
         assert "uniform selection fallback" in caplog.text
         assert result.best_fitness == 0.0
 
     def test_budget_parity_and_determinism(self):
-        config = SgaConfig(population_size=10, generations=20)
+        config = SgaConfig(population_size=10, max_fitness_evaluations=10 * 20)
         a = sga_evolve(pair_trap(6), config, RandomSource(17))
         b = sga_evolve(pair_trap(6), config, RandomSource(17))
         assert a.evaluations == 200
@@ -824,7 +828,8 @@ class TestBudgetParityAcrossEvolvers:
             ),
             qiga1_evolve(problem, Qiga1Config(max_fitness_evaluations=budget), RandomSource(1)),
             sga_evolve(
-                problem, SgaConfig(population_size=20, generations=30), RandomSource(1)
+                problem, SgaConfig(population_size=20, max_fitness_evaluations=20 * 30),
+                RandomSource(1)
             ),
         ]
         assert [r.evaluations for r in results] == [budget] * 4
@@ -957,7 +962,8 @@ class TestSgaLockstep:
         # "negated" takes the negative-shift path and "zero" the all-zero fallback;
         # n = 1 draws no crossover numbers.
         problem = SGA_PROBLEMS[kind](n, seed)
-        config = SgaConfig(population_size=2 * half_pop, generations=generations,
+        config = SgaConfig(population_size=2 * half_pop,
+                           max_fitness_evaluations=2 * half_pop * generations,
                            crossover_probability=crossover)
         rngs = [RandomSource(seed + i) for i in range(runs)]
         results = sga_lockstep(problem, config, rngs)
@@ -979,8 +985,8 @@ class TestSgaLockstep:
     pytest.param(qiga1_lockstep, qiga1_evolve,
                  Qiga1Config(quantum_population_size=6, max_fitness_evaluations=203), 203,
                  id="qiga1"),
-    pytest.param(sga_lockstep, sga_evolve, SgaConfig(population_size=6, generations=5), 30,
-                 id="sga"),
+    pytest.param(sga_lockstep, sga_evolve,
+                 SgaConfig(population_size=6, max_fitness_evaluations=6 * 5), 30, id="sga"),
 ])
 def test_scalar_only_problem_sees_each_runs_rows_in_sample_order(lockstep, evolve, config,
                                                                   evaluations):
@@ -1004,7 +1010,8 @@ def test_scalar_only_problem_sees_each_runs_rows_in_sample_order(lockstep, evolv
     pytest.param(qiga_lockstep, qiga_evolve, QigaConfig(max_fitness_evaluations=95),
                  [(100, 20), (100, 20), (50, 20)] * 9 + [(100, 20), (25, 20)], id="qiga"),
     # 25 runs x 10 individuals = 250 rows a generation, 4 generations.
-    pytest.param(sga_lockstep, sga_evolve, SgaConfig(population_size=10, generations=4),
+    pytest.param(sga_lockstep, sga_evolve,
+                 SgaConfig(population_size=10, max_fitness_evaluations=10 * 4),
                  [(100, 20), (100, 20), (50, 20)] * 4, id="sga"),
 ])
 def test_batch_calls_are_two_dimensional_and_capped(lockstep, evolve, config, shapes):
@@ -1019,7 +1026,8 @@ def test_batch_calls_are_two_dimensional_and_capped(lockstep, evolve, config, sh
 @pytest.mark.parametrize("engine, config", [
     pytest.param(qiga_lockstep, QigaConfig(max_fitness_evaluations=20), id="qiga"),
     pytest.param(qiga1_lockstep, Qiga1Config(max_fitness_evaluations=20), id="qiga1"),
-    pytest.param(sga_lockstep, SgaConfig(population_size=4, generations=5), id="sga"),
+    pytest.param(sga_lockstep, SgaConfig(population_size=4, max_fitness_evaluations=4 * 5),
+                 id="sga"),
 ])
 def test_lockstep_without_random_sources_names_the_cause(engine, config):
     with pytest.raises(ValueError, match="at least one random source, got none"):
@@ -1030,7 +1038,7 @@ INT_FIELDS = [
     (QigaConfig, name) for name in
     ("order", "quantum_population_size", "samples_per_individual", "max_fitness_evaluations")
 ] + [(Qiga1Config, "quantum_population_size"), (Qiga1Config, "max_fitness_evaluations"),
-     (SgaConfig, "population_size"), (SgaConfig, "generations")]
+     (SgaConfig, "population_size"), (SgaConfig, "max_fitness_evaluations")]
 
 
 @pytest.mark.parametrize("config_type, name", INT_FIELDS)
@@ -1038,3 +1046,35 @@ INT_FIELDS = [
 def test_integer_config_fields_reject_other_types_by_name(config_type, name, value):
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
         config_type(**{name: value})
+
+
+REAL_FIELDS = [(QigaConfig, "contraction_factor"), (Qiga1Config, "epsilon_guard"),
+               (SgaConfig, "crossover_probability"), (SgaConfig, "mutation_probability")]
+NOT_FINITE_REALS = ["0.5", None, True, math.nan, math.inf]
+
+
+@pytest.mark.parametrize("config_type, name", REAL_FIELDS)
+@pytest.mark.parametrize("value", NOT_FINITE_REALS)
+def test_real_config_fields_reject_other_values_by_name(config_type, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be a finite real number, got "):
+        config_type(**{name: value})
+
+
+@pytest.mark.parametrize("value", NOT_FINITE_REALS)
+def test_rotation_angles_reject_other_values_by_name(value):
+    with pytest.raises(ValueError, match="^angle must be a finite real number, got "):
+        default_rotation_table(value)
+    table = {**default_rotation_table(), (0, 1, False): value}
+    with pytest.raises(ValueError, match="^rotation angle must be a finite real number, got "):
+        Qiga1Config.with_table(table)
+
+
+def test_every_scalar_config_field_is_checked_by_name():
+    scalar = {(config_type, name) for config_type in (QigaConfig, Qiga1Config, SgaConfig)
+              for name, hint in typing.get_type_hints(config_type).items() if hint in (int, float)}
+    assert scalar == set(INT_FIELDS + REAL_FIELDS)
+
+
+def test_qiga_order_above_the_register_limit_rejected():
+    with pytest.raises(ValueError, match=re.escape(f"order must be in [1, {MAX_ORDER}], got 31")):
+        QigaConfig(order=MAX_ORDER + 1)

@@ -401,6 +401,26 @@ class TestBenchCommand:
         assert len(rows) == 2 * 2 * 2
         assert "empty" not in {r["problem"] for r in rows}
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_nan_angle_fails_only_its_cells(self, capsys, tmp_path, jobs):
+        plan = json.loads(self.write_plan(tmp_path).read_text())
+        plan["algorithms"].append({"id": "qiga1", "angle": float("nan")})
+        (tmp_path / "plan.json").write_text(json.dumps(plan))
+        assert '"angle": NaN' in (tmp_path / "plan.json").read_text()
+        outdir = tmp_path / "out"
+        code, _, err = invoke(
+            capsys, "bench", "--plan", str(tmp_path / "plan.json"),
+            "--outdir", str(outdir), "--jobs", jobs,
+        )
+        assert code == 3
+        failed = [line for line in err.splitlines() if line.startswith("failed: ")]
+        assert [line.split(":")[1].strip() for line in failed] == ["om6 / qiga1", "t2 / qiga1"]
+        for line in failed:
+            assert "angle must be a finite real number, got nan" in line
+        rows = list(csv.DictReader((outdir / "runs.csv").open()))
+        assert len(rows) == 2 * 2 * 2
+        assert "qiga1" not in {r["algorithm"] for r in rows}
+
     def test_invalid_sga_population_fails_only_its_cell(self, capsys, tmp_path):
         plan = json.loads(self.write_plan(tmp_path).read_text())
         plan["algorithms"].append({"id": "sga", "population_size": 0, "label": "sga-empty"})

@@ -535,7 +535,8 @@ class TestLockstepGroups:
         # 65536 // (2 * 10 * 250) = 13 qiga1 seeds per group on a 250-gene problem.
         pytest.param(AlgorithmSpec("qiga1").build(5000), 10**5, id="qiga1"),
         # 65536 // (20 * 250) = 13 sga seeds per group on a 250-gene problem.
-        pytest.param(SgaConfig(population_size=20, generations=250), 10**4, id="sga"),
+        pytest.param(SgaConfig(population_size=20, max_fitness_evaluations=20 * 250), 10**4,
+                     id="sga"),
     ])
     def test_groups_fill_the_amplitude_budget(self, config, too_many_genes):
         assert hoqiga.algorithms.lockstep_group_size(config, 250) == 13

@@ -76,6 +76,7 @@ class TestTuningSpec:
     @pytest.mark.parametrize(
         "overrides, message",
         [({"order": 0}, "order must be >= 1"),
+         ({"order": 31}, r"order must be in \[1, 30\], got 31"),
          ({"max_fitness_evaluations": 5}, "cannot cover one generation")],
     )
     def test_rejects_invalid_candidate_config_before_any_run(self, monkeypatch, overrides, message):
