@@ -166,9 +166,9 @@ class _BestTracker:
     The runs share one evaluation and one generation count, since their generations are
     equal in size.  Each run records its best-so-far fitness after each evaluation; ties
     keep the earliest individual, so the trajectory is nondecreasing and the winner is
-    the first to reach the top fitness.  A NaN fitness never becomes best.  The best bits
-    live in one (runs, n) uint8 array, allocated by the first record; a run whose best
-    fitness is still -inf has no best yet.
+    the first to reach the top fitness.  A NaN fitness never becomes best.  best_fitness
+    is a float64 (runs,) array and the best bits one (runs, n) uint8 array, allocated by
+    the first record; a run whose best fitness is still -inf has no best yet.
     """
 
     def __init__(self, budget: int, runs: int):
@@ -176,7 +176,7 @@ class _BestTracker:
         self.count = 0
         self.generations = 0
         self.best_bits: np.ndarray | None = None
-        self.best_fitness = [-math.inf] * runs
+        self.best_fitness = np.full(runs, -math.inf)
         self.trajectory = np.empty((runs, budget), dtype=np.float64)
 
     @property
@@ -186,30 +186,36 @@ class _BestTracker:
     @property
     def best(self) -> np.ndarray:
         """The (runs, n) best bits so far; ValueError when a run has no fitness above -inf."""
-        if -math.inf in self.best_fitness:
+        if (self.best_fitness == -math.inf).any():
             raise ValueError(f"no fitness above -inf in {self.count} evaluations (all NaN or -inf)")
         return self.best_bits
 
     def record(self, bits: np.ndarray, fitness) -> None:
-        """Fold run s's rows bits[s], scored fitness[s], in order; only a fitter row is best."""
+        """Fold run s's rows bits[s], scored fitness[s], in order; only a fitter row is best.
+
+        Only runs with a score above their best (np.fmax skips NaN) are folded row by row.
+        """
         fitness = np.asarray(fitness, dtype=np.float64)
         if self.best_bits is None:
             self.best_bits = np.zeros((len(self.best_fitness), bits.shape[-1]), dtype=np.uint8)
-        for s, values in enumerate(fitness.tolist()):
-            best, best_row = self.best_fitness[s], None
-            for row, value in enumerate(values):
+        window = self.trajectory[:, self.count : self.count + fitness.shape[1]]
+        window[:] = self.best_fitness[:, None]
+        for s in (np.fmax.reduce(fitness, axis=1) > self.best_fitness).nonzero()[0].tolist():
+            best, best_row, run_best = float(self.best_fitness[s]), None, []
+            for row, value in enumerate(fitness[s].tolist()):
                 if value > best:
                     best, best_row = value, row
-                self.trajectory[s, self.count + row] = best
-            if best_row is not None:
-                self.best_bits[s], self.best_fitness[s] = bits[s, best_row], best
+                run_best.append(best)
+            window[s] = run_best
+            self.best_bits[s], self.best_fitness[s] = bits[s, best_row], best
         self.count += fitness.shape[1]
         self.generations += 1
 
     def results(self) -> list[RunResult]:
         return [RunResult(best_bits=bits, best_fitness=fitness, trajectory=trajectory[: self.count],
                           evaluations=self.count, generations=self.generations)
-                for bits, fitness, trajectory in zip(self.best, self.best_fitness, self.trajectory)]
+                for bits, fitness, trajectory in zip(self.best, self.best_fitness.tolist(),
+                                                     self.trajectory)]
 
 
 def contraction_update(reg: QuantumRegister, best_group: int, mu: float) -> QuantumRegister:
@@ -425,7 +431,7 @@ def qiga1_lockstep(
         if not tracker.remaining:
             break
         # Only a full generation gets here, so every individual rotates.
-        at_least_best = fitness >= np.array(tracker.best_fitness)[:, None]
+        at_least_best = fitness >= tracker.best_fitness[:, None]
         index = 4 * bits + 2 * tracker.best[:, None] + at_least_best[..., None]  # flat [x, b, cmp]
         cos_d, sin_d = cos_table.take(index), sin_table.take(index)
         alpha, beta = state
@@ -451,8 +457,9 @@ def sga_evolve(
     Roulette needs nonnegative fitness; a generation containing negatives is
     shifted up for selection only, and an all-zero generation falls back to
     uniform selection.  Both fallbacks are logged, never fatal.  A generation
-    that must select and holds a non-finite score (NaN, inf or -inf) raises a
-    ValueError that names the cause.  The one-run call of sga_lockstep.
+    that must select and holds a non-finite score (NaN, inf or -inf), or finite
+    scores whose selection weights sum to inf, raises a ValueError that names
+    the cause.  The one-run call of sga_lockstep.
     """
     return sga_lockstep(problem, config, [rng])[0]
 
@@ -465,6 +472,8 @@ def sga_lockstep(
     The runs' populations form one (runs, pop, n) array, scored and folded like qiga_lockstep's.
     Each run draws its roulette spin, crossover coins and cuts, then mutation coins from
     its own stream, in that order; the operators then apply to the whole group at once.
+    A spin is pop uniforms mapped through the group's normalised cumulative selection
+    probabilities, as Generator.choice(pop, pop, p=row) maps them.
     Result s equals sga_evolve(problem, config, rngs[s]) byte for byte.
     """
     n = _check_problem(problem, len(rngs))
@@ -483,18 +492,23 @@ def sga_lockstep(
                              "(NaN, inf or -inf) cannot weight roulette selection")
         selection = fitness.astype(np.float64, copy=True)
         low = selection.min(axis=1, keepdims=True)
-        np.add(selection, -low + 1.0, out=selection, where=low < 0)
         for value in low[low < 0]:
             logger.warning("generation %d: negative fitness %g; shifted for roulette selection",
                            tracker.generations, value)
-        totals = selection.sum(axis=1, keepdims=True)
+        with np.errstate(over="ignore"):  # weights that overflow raise below, before any draw
+            np.add(selection, -low + 1.0, out=selection, where=low < 0)
+            totals = selection.sum(axis=1, keepdims=True)
+        if np.isinf(totals).any():
+            raise ValueError(f"generation {tracker.generations}: roulette weights overflow to inf")
         probabilities = np.full((runs, pop), 1.0 / pop)
         np.divide(selection, totals, out=probabilities, where=totals > 0)
         for _ in range(np.count_nonzero(totals <= 0)):
             logger.warning("generation %d: all-zero fitness; uniform selection fallback",
                            tracker.generations)
+        cdf = probabilities.cumsum(axis=1)  # what Generator.choice(pop, pop, p=row) spins
+        cdf /= cdf[:, -1:]
         for s, rng in enumerate(rngs):
-            chosen[s] = rng.gen.choice(pop, size=pop, p=probabilities[s])
+            chosen[s] = cdf[s].searchsorted(rng.gen.random(pop), side="right")
             if n >= 2:
                 coins[s], cuts[s] = rng.gen.random(pairs), rng.gen.integers(1, n, size=pairs)
             flips[s] = rng.gen.random((pop, n)) < config.mutation_probability

@@ -233,7 +233,7 @@ def observe_chromosome(chrom: QuantumChromosome, rng: RandomSource) -> BitString
 
 
 def bits_to_string(bits: BitString) -> str:
-    return "".join("1" if b else "0" for b in bits)
+    return np.where(np.asarray(bits) != 0, b"1", b"0").tobytes().decode("ascii")
 
 
 def bits_from_string(text: str) -> BitString:

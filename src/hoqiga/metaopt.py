@@ -39,6 +39,14 @@ class TuningSpec:
             raise ValueError("tuning grid must be non-empty")
         for candidate in self.plan.algorithms:  # the plan checks suite, runs, budget and jobs
             candidate.build(self.max_fitness_evaluations)  # QigaConfig owns mu, order, size, budget
+        for problem in self.problems:  # one that fails to load fails its cells in tune()
+            try:
+                size = problem.load().size
+            except ValueError:
+                continue
+            if self.order > size:
+                raise ValueError(f"order {self.order} exceeds the gene count {size} of suite "
+                                 f"problem {problem.name!r}")
 
     @cached_property
     def plan(self) -> ExperimentPlan:

@@ -4,6 +4,7 @@ import logging
 import math
 import re
 import typing
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,17 @@ class ConstantBatchProblem(FitnessFunction):
 
     def batch(self, bits):
         return np.full(np.shape(bits)[:-1], self.value)
+
+
+class CyclingBatchProblem(FitnessFunction):
+    """Scores the rows of each batch by cycling through fixed values."""
+
+    def __init__(self, size, values):
+        super().__init__(size=size, name="cycling-batch")
+        self.values = np.asarray(values, dtype=np.float64)
+
+    def batch(self, bits):
+        return np.resize(self.values, np.shape(bits)[:-1])
 
 
 class RecordingProblem(FitnessFunction):
@@ -707,6 +719,19 @@ class TestSgaEvolve:
         expected.gen.integers(0, 2, size=(10, 6), dtype=np.uint8)
         assert rng.gen.bit_generator.state == expected.gen.bit_generator.state
 
+    @pytest.mark.parametrize("values", [[1e308], [-1e308, 1e308]], ids=["sum", "shift"])
+    def test_overflowing_selection_weights_name_the_cause(self, values):
+        config = SgaConfig(population_size=10, max_fitness_evaluations=10 * 3)
+        rng = RandomSource(5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow RuntimeWarning may escape
+            with pytest.raises(ValueError, match="generation 1: roulette weights overflow to inf"):
+                sga_evolve(CyclingBatchProblem(6, values), config, rng)
+        # Raised before the roulette draws: only the initial population was drawn.
+        expected = RandomSource(5)
+        expected.gen.integers(0, 2, size=(10, 6), dtype=np.uint8)
+        assert rng.gen.bit_generator.state == expected.gen.bit_generator.state
+
     def test_all_zero_fitness_uniform_fallback(self, caplog):
         config = SgaConfig(population_size=10, max_fitness_evaluations=10 * 3)
         with caplog.at_level(logging.WARNING, logger="hoqiga.algorithms"):
@@ -764,6 +789,9 @@ class TestBestTracker:
     )
     @example(values=[[math.nan], [1.0]], cuts=[])
     @example(values=[[-math.inf, math.nan], [0.0, -0.0]], cuts=[1])
+    # In the second record, one run improves while the other holds a -0.0 best.
+    @example(values=[[-0.0, -0.0, 0.0], [1.0, 0.5, 2.0]], cuts=[1])
+    @example(values=[[-0.0, 5.0, 0.0], [-0.0, 0.0, math.nan]], cuts=[1])
     @settings(max_examples=200, deadline=None)
     def test_chunked_record_matches_sequential_fold(self, values, cuts):
         runs, k = len(values), len(values[0])
@@ -946,6 +974,34 @@ SGA_PROBLEMS = {
 
 
 class TestSgaLockstep:
+    @given(
+        pop=st.integers(2, 200),
+        rows=st.lists(st.sampled_from(["uniform", "zeros", "sparse", "random"]), min_size=1,
+                      max_size=4),
+        seed=st.integers(0, 2**20),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_group_cdf_spin_matches_generator_choice(self, pop, rows, seed):
+        # Selection weights as sga builds them: an all-zero row is the uniform fallback.
+        source = np.random.default_rng(seed)
+        selection = np.zeros((len(rows), pop))
+        for s, kind in enumerate(rows):
+            if kind == "sparse":  # mostly zero weights, at least one positive
+                selection[s, source.integers(pop, size=1 + pop // 10)] = source.random()
+            elif kind == "random":
+                selection[s] = source.random(pop) * source.choice([1e-300, 1.0, 1e300])
+        totals = selection.sum(axis=1, keepdims=True)
+        probabilities = np.full(selection.shape, 1.0 / pop)
+        np.divide(selection, totals, out=probabilities, where=totals > 0)
+        cdf = probabilities.cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        for s in range(len(rows)):
+            spun, chosen = RandomSource(seed + s), RandomSource(seed + s)
+            got = cdf[s].searchsorted(spun.gen.random(pop), side="right")
+            want = chosen.gen.choice(pop, size=pop, p=probabilities[s])
+            assert got.tolist() == want.tolist()
+            assert spun.gen.bit_generator.state == chosen.gen.bit_generator.state
+
     @given(
         runs=st.integers(1, 6),
         half_pop=st.integers(1, 10),

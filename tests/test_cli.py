@@ -598,6 +598,24 @@ class TestConfigTypesAndDocumentShapes:
         assert "order must be an integer, got 2.5" in err
         assert calls == []
 
+    @pytest.mark.parametrize("source", ["spec", "flags"])
+    def test_order_above_a_suite_problem_size_fails_before_any_run(self, capsys, tmp_path,
+                                                                   monkeypatch, source):
+        calls = []
+        monkeypatch.setattr(hoqiga.metaopt, "run_experiment", calls.append)
+        if source == "spec":  # order 10 on 6 genes, exit 2 like other bad spec values
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps({**self.SPEC, "order": 10}))
+            code, _, err = invoke(capsys, "meta", "--spec", str(path))
+            assert (code, err) == (2, "error: order 10 exceeds the gene count 6 of suite "
+                                      "problem 'om6'\n")
+        else:  # the default order 2 on 1 gene, exit 1 like other bad flag values
+            code, _, err = invoke(capsys, "meta", "--grid", "0.5", "--problems",
+                                  "onemax:6,onemax:1")
+            assert (code, err) == (1, "error: order 2 exceeds the gene count 1 of suite "
+                                      "problem 'onemax:1'\n")
+        assert calls == []
+
     def test_fractional_order_plan_parameter_fails_its_cell(self, capsys, tmp_path):
         plan = {**self.PLAN, "algorithms": [{"id": "qiga2"}, {"id": "qiga-r", "order": 2.5}]}
         path = tmp_path / "plan.json"

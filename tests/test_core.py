@@ -220,6 +220,14 @@ class TestBitHelpers:
     def test_string_round_trip(self):
         assert bits_to_string(bits_from_string("10011")) == "10011"
 
+    @pytest.mark.parametrize("bits", [
+        np.array([1, 0, 1, 1], dtype=bool), np.array([0, 1, 1, 0, 0], dtype=np.uint8),
+        np.array([3, 0, -2, 1], dtype=np.int64), [True, False, True], [0, 2, 0, 7],
+        np.array([255, 0, 128], dtype=np.uint8), np.array([], dtype=np.uint8),
+    ], ids=["bool", "uint8", "int64", "bool-list", "int-list", "above-1", "empty"])
+    def test_string_matches_the_per_bit_join(self, bits):
+        assert bits_to_string(bits) == "".join("1" if b else "0" for b in bits)
+
     def test_bits_from_string_rejects_junk(self):
         with pytest.raises(ValueError):
             bits_from_string("10x1")

@@ -77,6 +77,7 @@ class TestTuningSpec:
         "overrides, message",
         [({"order": 0}, "order must be >= 1"),
          ({"order": 31}, r"order must be in \[1, 30\], got 31"),
+         ({"order": 10}, "order 10 exceeds the gene count 6 of suite problem 'om6'"),
          ({"max_fitness_evaluations": 5}, "cannot cover one generation")],
     )
     def test_rejects_invalid_candidate_config_before_any_run(self, monkeypatch, overrides, message):
