@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (BitString, QuantumChromosome, QuantumRegister, RENORM_TRIGGER, RandomSource,
-                   MAX_ORDER, bits_to_group, check_int, check_real, chromosome_layout)
+                   bits_to_group, check_int, check_order, check_real, chromosome_layout)
 from .problems import FitnessFunction
 
 logger = logging.getLogger(__name__)
@@ -70,11 +70,10 @@ class QigaConfig:
     max_fitness_evaluations: int = 5000
 
     def __post_init__(self):
-        for name in ("order", "quantum_population_size", "samples_per_individual"):
+        check_order(self.order)
+        for name in ("quantum_population_size", "samples_per_individual"):
             check_int(name, getattr(self, name), 1)
         check_int("max_fitness_evaluations", self.max_fitness_evaluations, 1)
-        if self.order > MAX_ORDER:  # chromosome_layout's bound, checked before any run
-            raise ValueError(f"order must be in [1, {MAX_ORDER}], got {self.order}")
         check_real("contraction_factor", self.contraction_factor)
         if not 0.0 < self.contraction_factor < 1.0:
             raise ValueError(f"contraction factor must be in (0, 1), got {self.contraction_factor}")
@@ -380,9 +379,7 @@ def qiga_lockstep(
     rows.  Result s equals qiga_evolve(problem, config, rngs[s]) byte for byte.
     """
     n = _check_problem(problem, len(rngs))
-    if config.order > n:
-        raise ValueError(f"order must satisfy 1 <= order <= problem size, got order={config.order} "
-                         f"for {n} genes")
+    check_order(config.order, n)
     packed = _PackedRegisters(n, config.order, len(rngs))
     tracker = _BestTracker(config.max_fitness_evaluations, len(rngs))
     per_generation = config.quantum_population_size * config.samples_per_individual

@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from .core import RandomSource, bits_to_string, check_int
+from .core import RandomSource, bits_to_string, check_int, check_order, check_real
 from .harness import (
     ALGORITHMS,
     AlgorithmSpec,
@@ -68,7 +68,7 @@ def _build_parser() -> _Parser:
     theory = sub.add_parser("theory", help="order / quantum-factor tables")
     theory.add_argument(
         "--n-range", default="2:64",
-        help="problem sizes as START:STOP[:STEP], inclusive",
+        help="gene counts N as START:STOP[:STEP], inclusive",
     )
     theory.add_argument("--orders", default="1,2,3,4,5", help="comma-separated orders")
     theory.add_argument("--csv", help="also write the table to this CSV path")
@@ -94,16 +94,12 @@ def _build_parser() -> _Parser:
 
 def _cmd_run(args) -> int:
     problem = load_problem(args.problem)
-    # The one rule that needs the loaded problem; the algorithm table checks the rest.
-    if args.order is not None and not 1 <= args.order <= problem.size:
-        raise UsageError(
-            f"--order must satisfy 1 <= order <= problem size "
-            f"({problem.size}), got {args.order}"
-        )
     params = {"order": args.order, "mu": args.mu}
     spec = AlgorithmSpec(args.algo, {k: v for k, v in params.items() if v is not None})
     try:
         config = spec.build(args.maxfe)
+        if args.order is not None:  # the one rule that needs the loaded problem
+            check_order(args.order, problem.size)
         check_int("seed", args.seed, 0)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -188,8 +184,10 @@ def _cmd_theory(args) -> int:
 def _cmd_gen(args) -> int:
     if (args.clauses is None) == (args.ratio is None):
         raise UsageError("give exactly one of --clauses or --ratio")
-    clause_count = args.clauses if args.clauses is not None else round(args.ratio * args.vars)
     try:
+        if args.clauses is None:
+            check_real("--ratio", args.ratio)
+        clause_count = args.clauses if args.clauses is not None else round(args.ratio * args.vars)
         formula = generate_uniform_3sat(args.vars, clause_count, RandomSource(args.seed))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -210,13 +208,10 @@ def _cmd_meta(args) -> int:
             grid = tuple(float(g) for g in args.grid.split(","))
         except ValueError:
             raise UsageError(f"--grid must be comma-separated floats, got {args.grid!r}")
-        problems = tuple(
-            ProblemSpec(name=source, source=source) for source in args.problems.split(",")
-        )
         try:
             spec = TuningSpec(
                 grid=grid,
-                problems=problems,
+                problems=tuple(ProblemSpec(name=s, source=s) for s in args.problems.split(",")),
                 runs_per_candidate=args.runs,
                 base_seed=args.seed,
                 max_fitness_evaluations=args.maxfe,

@@ -40,6 +40,15 @@ def check_real(name: str, value) -> None:
         raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
+def check_order(order, genes: int | None = None) -> None:
+    """Raise a ValueError unless order is an int in [1, MAX_ORDER], and <= genes when given."""
+    check_int("order", order, 1)
+    if order > MAX_ORDER:
+        raise ValueError(f"order must be in [1, {MAX_ORDER}], got {order}")
+    if genes is not None and order > genes:
+        raise ValueError(f"order {order} exceeds the gene count {genes}")
+
+
 class RandomSource:
     """Deterministic random stream: one 64-bit seed, one PCG64 generator.
 
@@ -83,8 +92,7 @@ class QuantumRegister:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ValueError(f"register order must be >= 1, got {self.order}")
+        check_order(self.order)
         amps = np.asarray(self.amplitudes, dtype=np.float64)
         object.__setattr__(self, "amplitudes", amps)
         if amps.shape != (2**self.order,):
@@ -149,24 +157,21 @@ def chromosome_layout(n_bits: int, order: int) -> list[int]:
     """
     if n_bits < 1:
         raise ValueError(f"gene count must be >= 1, got {n_bits}")
-    if not 1 <= order <= MAX_ORDER:
-        raise ValueError(f"order must be in [1, {MAX_ORDER}], got {order}")
+    check_order(order)
     full, tail = divmod(n_bits, order)
     return [order] * full + ([tail] if tail else [])
 
 
 def register_uniform(order: int) -> QuantumRegister:
     """Register whose observation samples all 2**order group values equally."""
-    if not 1 <= order <= MAX_ORDER:
-        raise ValueError(f"order must be in [1, {MAX_ORDER}], got {order}")
+    check_order(order)
     dim = 2**order
     return QuantumRegister(order, np.full(dim, np.sqrt(1.0 / dim)))
 
 
 def register_basis(order: int, index: int) -> QuantumRegister:
     """Register that deterministically observes the given group value."""
-    if not 1 <= order <= MAX_ORDER:
-        raise ValueError(f"order must be in [1, {MAX_ORDER}], got {order}")
+    check_order(order)
     if not 0 <= index < 2**order:
         raise ValueError(f"basis index must be in [0, {2**order}), got {index}")
     amps = np.zeros(2**order)

@@ -43,6 +43,11 @@ class ProblemSpec:
     name: str
     source: str
 
+    def __post_init__(self):
+        for key in ("name", "source"):
+            if not getattr(self, key):
+                raise ValueError(f"problem {key} must not be empty")
+
     def load(self) -> FitnessFunction:
         return load_problem(self.source, name=self.name)
 
@@ -124,6 +129,18 @@ class ExperimentPlan:
         labels = [a.label for a in self.algorithms]
         if len(set(labels)) != len(labels):
             raise ValueError(f"algorithm labels must be unique, got {labels}")
+
+    @cached_property
+    def loaded(self) -> dict[str, FitnessFunction | Exception]:
+        """Each problem name's loaded problem, or the exception its load raised; cached per plan."""
+        loaded: dict[str, FitnessFunction | Exception] = {}
+        for spec in self.problems:
+            try:
+                loaded[spec.name] = spec.load()
+            except Exception as exc:
+                logger.warning("problem %s failed to load: %s", spec.name, exc)
+                loaded[spec.name] = exc
+        return loaded
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentPlan":
@@ -298,27 +315,18 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentResult:
     lockstep groups bounded by state size.  Neither chunks, groups nor jobs change
     results.
     """
-    loaded: dict[str, FitnessFunction | Exception] = {}
-    for spec in plan.problems:
-        try:
-            loaded[spec.name] = spec.load()
-        except Exception as exc:
-            logger.warning("problem %s failed to load: %s", spec.name, exc)
-            loaded[spec.name] = exc
-
     cells: list[CellResult] = []
     owners: list[CellResult] = []
     tasks = []
     runs = plan.runs_per_cell
     chunks = min(runs, -(-4 * plan.jobs // (len(plan.problems) * len(plan.algorithms))))
     bounds = [plan.base_seed + runs * i // chunks for i in range(chunks + 1)]
-    for pspec in plan.problems:
-        problem = loaded[pspec.name]
+    for name, problem in plan.loaded.items():
         for aspec in plan.algorithms:
             if isinstance(problem, Exception):
-                cells.append(CellResult(pspec.name, aspec.label, None, error=str(problem)))
+                cells.append(CellResult(name, aspec.label, None, error=str(problem)))
                 continue
-            cells.append(CellResult(pspec.name, aspec.label, problem.size))
+            cells.append(CellResult(name, aspec.label, problem.size))
             for lo, hi in zip(bounds, bounds[1:]):
                 owners.append(cells[-1])
                 tasks.append((aspec, problem, range(lo, hi), plan.max_fitness_evaluations))

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import check_order
 from .harness import (AlgorithmSpec, ExperimentPlan, ProblemSpec, read_plan_document,
                       run_experiment, write_csv)
 
@@ -39,14 +40,11 @@ class TuningSpec:
             raise ValueError("tuning grid must be non-empty")
         for candidate in self.plan.algorithms:  # the plan checks suite, runs, budget and jobs
             candidate.build(self.max_fitness_evaluations)  # QigaConfig owns mu, order, size, budget
-        for problem in self.problems:  # one that fails to load fails its cells in tune()
+        for name, problem in self.plan.loaded.items():  # one that fails to load fails in tune()
             try:
-                size = problem.load().size
-            except ValueError:
-                continue
-            if self.order > size:
-                raise ValueError(f"order {self.order} exceeds the gene count {size} of suite "
-                                 f"problem {problem.name!r}")
+                check_order(self.order, None if isinstance(problem, Exception) else problem.size)
+            except ValueError as exc:
+                raise ValueError(f"{exc} of suite problem {name!r}") from exc
 
     @cached_property
     def plan(self) -> ExperimentPlan:

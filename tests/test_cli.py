@@ -8,9 +8,13 @@ import pytest
 
 import hoqiga.harness
 import hoqiga.metaopt
+from hoqiga.algorithms import QigaConfig, qiga_evolve
 from hoqiga.cli import main
-from hoqiga.harness import AlgorithmSpec
-from hoqiga.problems import FitnessFunction, parse_dimacs
+from hoqiga.core import (QuantumRegister, RandomSource, chromosome_layout, register_basis,
+                         register_uniform)
+from hoqiga.harness import AlgorithmSpec, ProblemSpec
+from hoqiga.metaopt import TuningSpec
+from hoqiga.problems import FitnessFunction, onemax, parse_dimacs
 
 
 class NanProblem(FitnessFunction):
@@ -68,7 +72,7 @@ class TestRunCommand:
             capsys, "run", "--algo", "qiga-r", "--order", "0", "--problem", "onemax:8"
         )
         assert code == 1
-        assert "1 <= order <= problem size" in err
+        assert "order must be >= 1" in err
 
     def test_order_on_non_r_algo_rejected(self, capsys):
         code, _, err = invoke(
@@ -235,6 +239,8 @@ class TestGenCommand:
         [
             (("--vars", "2", "--clauses", "5"), "at least 3 variables"),
             (("--vars", "10", "--ratio", "-1"), "clause count must be >= 1"),
+            (("--vars", "10", "--ratio", "nan"), "--ratio must be a finite real number, got nan"),
+            (("--vars", "10", "--ratio", "inf"), "--ratio must be a finite real number, got inf"),
             (("--vars", "10", "--clauses", "5", "--seed", "-1"), "seed must be"),
         ],
     )
@@ -255,6 +261,10 @@ MALFORMED_DOCUMENTS = [
         lambda doc: {**doc, "problems": [{"name": "om6", "source": "onemax:6", "sorce": "x"}]},
         "unexpected keyword argument 'sorce'", id="stray-problem-key",
     ),
+    pytest.param(lambda doc: {**doc, "problems": [{"name": "", "source": "onemax:6"}]},
+                 "problem name must not be empty", id="empty-name"),
+    pytest.param(lambda doc: {**doc, "problems": [{"name": "om6", "source": ""}]},
+                 "problem source must not be empty", id="empty-source"),
     pytest.param(lambda doc: {**doc, "runs": "3"}, "runs_per_cell", id="string-runs"),
     pytest.param(lambda doc: {**doc, "runs": True}, "runs_per_cell", id="bool-runs"),
     pytest.param(lambda doc: {**doc, "max_fitness_evaluations": 10.5},
@@ -568,6 +578,13 @@ class TestMetaCommand:
         assert code == 2
         assert named in err
 
+    def test_empty_problem_flag_entry_is_usage_error_before_any_run(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(hoqiga.metaopt, "run_experiment", calls.append)
+        code, _, err = invoke(capsys, "meta", "--grid", "0.5", "--problems", "onemax:6,")
+        assert (code, err) == (1, "error: problem name must not be empty\n")
+        assert calls == []
+
     def test_budget_flag_below_one_generation_is_usage_error(self, capsys):
         code, _, err = invoke(capsys, "meta", "--grid", "0.5", "--problems", "onemax:6",
                               "--maxfe", "5")
@@ -707,3 +724,73 @@ class TestConfigTypesAndDocumentShapes:
         assert code == 2
         assert f"repeated key {key!r}" in err
         assert calls == []
+
+
+# A bad order and the message each entry point must give for it; `hoqiga run`
+# receives the value's repr, which argparse rejects unless it is a whole number.
+BAD_ORDERS = [
+    (0, "order must be >= 1, got 0"),
+    (31, "order must be in [1, 30], got 31"),
+    (2.5, "order must be an integer, got 2.5"),
+    (True, "order must be an integer, got True"),
+    ("2", "order must be an integer, got '2'"),
+]
+ORDER_ENTRY_POINTS = {
+    "QuantumRegister": lambda order: QuantumRegister(order, np.full(4, 0.5)),
+    "chromosome_layout": lambda order: chromosome_layout(40, order),
+    "register_uniform": register_uniform,
+    "register_basis": lambda order: register_basis(order, 0),
+    "QigaConfig": lambda order: QigaConfig(order=order),
+    "qiga_evolve": lambda order: qiga_evolve(
+        onemax(40), QigaConfig(order=order, max_fitness_evaluations=50), RandomSource(0)),
+    "TuningSpec": lambda order: TuningSpec(
+        grid=(0.5,), problems=(ProblemSpec("om40", "onemax:40"),), order=order),
+}
+
+
+class TestOrderRule:
+    @pytest.mark.parametrize("order, message", BAD_ORDERS)
+    @pytest.mark.parametrize("entry", [*ORDER_ENTRY_POINTS, "run --order"])
+    def test_every_entry_point_rejects_a_bad_order_naming_it(self, capsys, entry, order,
+                                                             message):
+        if entry == "run --order":
+            code, _, err = invoke(capsys, "run", "--algo", "qiga-r", "--order", repr(order),
+                                  "--problem", "onemax:40", "--maxfe", "50")
+            assert code == 1
+            if type(order) is not int:
+                message = "argument --order: invalid int value"
+            assert err.startswith("error: ") and message in err
+        else:
+            with pytest.raises(ValueError) as raised:
+                ORDER_ENTRY_POINTS[entry](order)
+            assert str(raised.value) == message
+
+    @pytest.mark.parametrize("source", ["qiga_evolve", "run", "bench-jobs1", "bench-jobs2",
+                                        "meta"])
+    def test_order_above_the_gene_count_reads_the_same_everywhere(self, capsys, tmp_path,
+                                                                  source):
+        message = "order 7 exceeds the gene count 6"
+        problems = [{"name": "om6", "source": "onemax:6"}]
+        if source == "qiga_evolve":
+            with pytest.raises(ValueError) as raised:
+                qiga_evolve(onemax(6), QigaConfig(order=7, max_fitness_evaluations=50),
+                            RandomSource(0))
+            assert str(raised.value) == message
+        elif source == "run":
+            code, _, err = invoke(capsys, "run", "--algo", "qiga-r", "--order", "7",
+                                  "--problem", "onemax:6", "--maxfe", "50")
+            assert (code, err) == (1, f"error: {message}\n")
+        elif source == "meta":
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps({"grid": [0.5], "problems": problems, "order": 7}))
+            code, _, err = invoke(capsys, "meta", "--spec", str(path))
+            assert (code, err) == (2, f"error: {message} of suite problem 'om6'\n")
+        else:
+            path = tmp_path / "plan.json"
+            path.write_text(json.dumps({
+                "runs": 2, "max_fitness_evaluations": 50, "problems": problems,
+                "algorithms": [{"id": "qiga2"}, {"id": "qiga-r", "order": 7}]}))
+            code, _, err = invoke(capsys, "bench", "--plan", str(path), "--outdir",
+                                  str(tmp_path / "out"), "--jobs", source[-1])
+            assert code == 3
+            assert f"failed: om6 / qiga-r: {message}\n" in err

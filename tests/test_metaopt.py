@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import hoqiga.harness
 import hoqiga.metaopt
 from hoqiga.harness import AlgorithmSpec, ExperimentPlan, ProblemSpec, run_experiment
 from hoqiga.metaopt import TuningSpec, export_tuning_csv, tune
@@ -101,6 +102,18 @@ class TestTuningSpec:
 
 
 class TestTune:
+    def test_loads_each_suite_problem_once(self, monkeypatch):
+        sources, load = [], hoqiga.harness.load_problem
+
+        def spy(source, **kwargs):
+            sources.append(source)
+            return load(source, **kwargs)
+
+        monkeypatch.setattr(hoqiga.harness, "load_problem", spy)
+        tune(quick_spec((0.5, 0.9), (ProblemSpec("om8", "onemax:8"),
+                                     ProblemSpec("sat20", "3sat:20:86:1"))))
+        assert sources == ["onemax:8", "3sat:20:86:1"]
+
     def test_single_candidate_wins_trivially(self):
         result = tune(quick_spec((0.9,)))
         assert result.best_value == 0.9
