@@ -14,10 +14,16 @@
 
 All evolvers consume exactly the configured fitness-evaluation budget and
 record the best-so-far fitness at every evaluation, so runs with different
-generation sizes plot on a common axis.  Each draws a whole generation at
-once, and one _BestTracker per lockstep group folds its runs' scores in sample
-order, so results match sampling one bitstring at a time; qiga and sga score a
-generation of all lockstep runs with problem.batch, qiga1 row by row.
+generation sizes plot on a common axis.  The three lockstep engines share one
+generation loop, _lockstep: until the budget is spent it samples a generation
+of every run, scores its rows, folds them into one _BestTracker per group in
+sample order (so results match sampling one bitstring at a time), and, while
+budget remains, updates the model.  Each engine supplies only its two steps:
+qiga observes its registers, then contracts them toward the best; qiga1
+compares draws with its alpha plane, then rotates and clamps its qubits; sga
+hands over its population, then selects, crosses and mutates.  qiga and sga
+score a generation with problem.batch; qiga1 still calls problem(row) once per
+row, because the benchmark's per-layer trace divides by that call count.
 """
 
 from __future__ import annotations
@@ -344,6 +350,24 @@ def _score(problem: FitnessFunction, rows: np.ndarray) -> np.ndarray:
     return np.concatenate([problem.batch(rows[i : i + BATCH_ROWS]) for i in starts])
 
 
+def _lockstep(score, budget: int, runs: int, sample, update) -> list[RunResult]:
+    """The generation loop of every lockstep engine, under one _BestTracker.
+
+    sample(remaining) returns the next (runs, k, n) generation, k <= remaining; score
+    returns the values of its run-major (runs * k, n) rows, in order.  After each
+    generation is recorded, update(bits, fitness, tracker) advances the engine's model,
+    only while budget remains, so a final ragged generation is never followed by one.
+    """
+    tracker = _BestTracker(budget, runs)
+    while tracker.remaining:
+        bits = sample(tracker.remaining)
+        fitness = score(bits.reshape(-1, bits.shape[-1])).reshape(runs, -1)
+        tracker.record(bits, fitness)
+        if tracker.remaining:
+            update(bits, fitness, tracker)
+    return tracker.results()
+
+
 def qiga_evolve(
     problem: FitnessFunction, config: QigaConfig, rng: RandomSource
 ) -> RunResult:
@@ -381,14 +405,11 @@ def qiga_lockstep(
     n = _check_problem(problem, len(rngs))
     check_order(config.order, n)
     packed = _PackedRegisters(n, config.order, len(rngs))
-    tracker = _BestTracker(config.max_fitness_evaluations, len(rngs))
     per_generation = config.quantum_population_size * config.samples_per_individual
-    while tracker.remaining:
-        bits = packed.observe(min(per_generation, tracker.remaining), rngs)
-        tracker.record(bits, _score(problem, bits.reshape(-1, n)).reshape(len(rngs), -1))
-        if tracker.remaining:
-            packed.contract(tracker.best, config.contraction_factor)
-    return tracker.results()
+    mu = config.contraction_factor
+    return _lockstep(lambda rows: _score(problem, rows), config.max_fitness_evaluations, len(rngs),
+                     lambda remaining: packed.observe(min(per_generation, remaining), rngs),
+                     lambda bits, fitness, tracker: packed.contract(tracker.best, mu))
 
 
 def qiga1_evolve(
@@ -418,15 +439,13 @@ def qiga1_lockstep(
     table = config.table_array()
     cos_table, sin_table = np.cos(table).ravel(), np.sin(table).ravel()
     state = np.full((2, runs, pop, n), math.sqrt(0.5))
-    tracker = _BestTracker(config.max_fitness_evaluations, runs)
-    while tracker.remaining:
-        k = min(pop, tracker.remaining)
+
+    def observe(remaining: int) -> np.ndarray:
+        k = min(pop, remaining)
         draws = np.concatenate([rng.uniforms(k * n) for rng in rngs]).reshape(runs, k, n)
-        bits = (draws >= state[0, :, :k] ** 2).astype(np.uint8)
-        fitness = np.array([problem(row) for row in bits.reshape(-1, n)]).reshape(runs, k)
-        tracker.record(bits, fitness)
-        if not tracker.remaining:
-            break
+        return (draws >= state[0, :, :k] ** 2).astype(np.uint8)
+
+    def rotate(bits: np.ndarray, fitness: np.ndarray, tracker: _BestTracker) -> None:
         # Only a full generation gets here, so every individual rotates.
         at_least_best = fitness >= tracker.best_fitness[:, None]
         index = 4 * bits + 2 * tracker.best[:, None] + at_least_best[..., None]  # flat [x, b, cmp]
@@ -434,7 +453,9 @@ def qiga1_lockstep(
         alpha, beta = state
         state[0], state[1] = cos_d * alpha - sin_d * beta, sin_d * alpha + cos_d * beta
         _clamp_poles(np.moveaxis(state, 0, -1), config.epsilon_guard)
-    return tracker.results()
+
+    return _lockstep(lambda rows: np.array([problem(row) for row in rows]),
+                     config.max_fitness_evaluations, runs, observe, rotate)
 
 
 def _clamp_poles(state: np.ndarray, eps: float) -> None:
@@ -475,15 +496,12 @@ def sga_lockstep(
     """
     n = _check_problem(problem, len(rngs))
     runs, pop, pairs = len(rngs), config.population_size, config.population_size // 2
-    tracker = _BestTracker(config.max_fitness_evaluations, runs)
     population = np.stack([rng.gen.integers(0, 2, size=(pop, n), dtype=np.uint8) for rng in rngs])
     chosen, flips = np.empty((runs, pop), dtype=np.int64), np.empty((runs, pop, n), dtype=bool)
     coins, cuts = np.empty((runs, pairs)), np.empty((runs, pairs), dtype=np.int64)
-    while tracker.remaining:
-        fitness = _score(problem, population.reshape(-1, n)).reshape(runs, pop)
-        tracker.record(population, fitness)  # the budget is whole generations
-        if not tracker.remaining:
-            break
+
+    def breed(bits: np.ndarray, fitness: np.ndarray, tracker: _BestTracker) -> None:
+        nonlocal population
         if not np.isfinite(fitness).all():
             raise ValueError(f"generation {tracker.generations}: non-finite fitness "
                              "(NaN, inf or -inf) cannot weight roulette selection")
@@ -509,14 +527,16 @@ def sga_lockstep(
             if n >= 2:
                 coins[s], cuts[s] = rng.gen.random(pairs), rng.gen.integers(1, n, size=pairs)
             flips[s] = rng.gen.random((pop, n)) < config.mutation_probability
-        children = population[np.arange(runs)[:, None], chosen]
+        children = bits[np.arange(runs)[:, None], chosen]
         if n >= 2:  # pair j of run s is rows 2i and 2i + 1 of the group, i = s * pairs + j
             crossed = np.flatnonzero(coins < config.crossover_probability)
             rows = children.reshape(-1, n)  # a view, so crossing rows crosses children
             rows[2 * crossed], rows[2 * crossed + 1] = single_point_crossover(
                 rows[2 * crossed], rows[2 * crossed + 1], cuts.ravel()[crossed])
         population = children ^ flips.astype(np.uint8)
-    return tracker.results()
+
+    return _lockstep(lambda rows: _score(problem, rows), config.max_fitness_evaluations, runs,
+                     lambda remaining: population, breed)  # the budget is whole generations
 
 
 def single_point_crossover(

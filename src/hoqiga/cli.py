@@ -98,8 +98,8 @@ def _cmd_run(args) -> int:
     spec = AlgorithmSpec(args.algo, {k: v for k, v in params.items() if v is not None})
     try:
         config = spec.build(args.maxfe)
-        if args.order is not None:  # the one rule that needs the loaded problem
-            check_order(args.order, problem.size)
+        if hasattr(config, "order"):  # the one rule that needs the loaded problem
+            check_order(config.order, problem.size)
         check_int("seed", args.seed, 0)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc

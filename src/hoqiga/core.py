@@ -59,9 +59,8 @@ class RandomSource:
     """
 
     def __init__(self, seed: int):
-        if seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {seed}")
-        self.seed = int(seed)
+        check_int("seed", seed, 0)
+        self.seed = seed
         self.gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def uniform(self) -> float:

@@ -17,6 +17,7 @@ from hoqiga.algorithms import (
     _BestTracker,
     _PackedRegisters,
     _clamp_poles,
+    _lockstep,
     QigaConfig,
     SgaConfig,
     contraction_update,
@@ -841,6 +842,28 @@ class TestBestTracker:
         tracker.record(np.zeros((1, 2, 3), dtype=np.uint8), [[math.nan, -math.inf]])
         with pytest.raises(ValueError, match="all NaN or -inf"):
             tracker.results()
+
+
+class TestLockstepLoop:
+    def test_budget_gates_every_sample_and_update(self):
+        runs, k, budget = 2, 3, 7
+        remaining_seen, updates = [], []
+
+        def sample(remaining):
+            remaining_seen.append(remaining)
+            rows = min(k, remaining)
+            return np.arange(runs * rows * 4, dtype=np.uint8).reshape(runs, rows, 4) % 2
+
+        def update(bits, fitness, tracker):
+            assert bits.shape == (runs, k, 4) and fitness.shape == (runs, k)
+            updates.append(tracker.count)
+
+        results = _lockstep(lambda rows: rows.sum(axis=1).astype(float), budget, runs, sample,
+                            update)
+        assert remaining_seen == [7, 4, 1]
+        assert updates == [3, 6]
+        assert [(r.evaluations, r.generations) for r in results] == [(7, 3)] * runs
+        assert [len(r.trajectory) for r in results] == [7] * runs
 
 
 class TestBudgetParityAcrossEvolvers:

@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,6 +172,14 @@ class TestHelp:
 
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == 1
+
+    def test_python_dash_m_runs_the_cli(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        done = subprocess.run([sys.executable, "-m", "hoqiga", "theory", "--n-range", "2:3",
+                               "--orders", "1"], env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("N\tr\t")
 
 
 class TestTheoryCommand:
@@ -764,6 +776,10 @@ class TestOrderRule:
             with pytest.raises(ValueError) as raised:
                 ORDER_ENTRY_POINTS[entry](order)
             assert str(raised.value) == message
+
+    def test_run_checks_an_implicit_order_against_the_gene_count(self, capsys):
+        code, _, err = invoke(capsys, "run", "--algo", "qiga2", "--problem", "onemax:1")
+        assert (code, err) == (1, "error: order 2 exceeds the gene count 1\n")
 
     @pytest.mark.parametrize("source", ["qiga_evolve", "run", "bench-jobs1", "bench-jobs2",
                                         "meta"])

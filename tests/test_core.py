@@ -244,6 +244,13 @@ class TestRandomSource:
         a, b = RandomSource(13), RandomSource(13)
         assert np.array_equal(a.uniforms(8), [b.uniform() for _ in range(8)])
 
-    def test_rejects_negative_seed(self):
-        with pytest.raises(ValueError):
-            RandomSource(-1)
+    @pytest.mark.parametrize("seed, message", [
+        (2.7, "seed must be an integer, got 2.7"),
+        (True, "seed must be an integer, got True"),
+        ("5", "seed must be an integer, got '5'"),
+        (-1, "seed must be >= 0, got -1"),
+    ])
+    def test_rejects_a_seed_that_is_not_a_nonnegative_int(self, seed, message):
+        with pytest.raises(ValueError) as raised:
+            RandomSource(seed)
+        assert str(raised.value) == message
