@@ -4,8 +4,8 @@
   classical individuals; after each generation every non-best amplitude is
   scaled by the contraction factor and the amplitude matching the best-so-far
   individual absorbs the freed probability mass.  The quantum population
-  stays identical, so qiga keeps one chromosome and its two population
-  knobs only set the generation size; qiga_lockstep advances many seeds at once.
+  stays identical, so qiga keeps one chromosome and quantum_population_size
+  is its generation size; qiga_lockstep advances many seeds at once.
 * qiga1_evolve: the classic order-1 baseline with per-qubit rotation gates
   driven by a lookup table; each quantum individual keeps its own state, and
   qiga1_lockstep advances many seeds at once on one alpha and one beta plane.
@@ -65,34 +65,37 @@ def default_rotation_table(angle: float = 0.01 * math.pi) -> RotationTable:
     return table
 
 
+def _check_budget(quantum_population_size, max_fitness_evaluations) -> None:
+    """Both counts are ints >= 1, and the budget covers one generation of the population."""
+    check_int("quantum_population_size", quantum_population_size, 1)
+    check_int("max_fitness_evaluations", max_fitness_evaluations, 1)
+    if max_fitness_evaluations < quantum_population_size:
+        raise ValueError(f"evaluation budget {max_fitness_evaluations} cannot cover one "
+                         f"generation of {quantum_population_size} samples")
+
+
 @dataclass(frozen=True)
 class QigaConfig:
     """Knobs of the order-r contraction evolver."""
 
     order: int = 2
-    quantum_population_size: int = 10
-    samples_per_individual: int = 1
+    quantum_population_size: int = 10  # the generation size
     contraction_factor: float = 0.9918
     max_fitness_evaluations: int = 5000
 
     def __post_init__(self):
         check_order(self.order)
-        for name in ("quantum_population_size", "samples_per_individual"):
-            check_int(name, getattr(self, name), 1)
-        check_int("max_fitness_evaluations", self.max_fitness_evaluations, 1)
+        _check_budget(self.quantum_population_size, self.max_fitness_evaluations)
         check_real("contraction_factor", self.contraction_factor)
         if not 0.0 < self.contraction_factor < 1.0:
             raise ValueError(f"contraction factor must be in (0, 1), got {self.contraction_factor}")
-        per_generation = self.quantum_population_size * self.samples_per_individual
-        if self.max_fitness_evaluations < per_generation:
-            raise ValueError(f"evaluation budget {self.max_fitness_evaluations} cannot cover one "
-                             f"generation of {per_generation} samples")
 
 
 @dataclass(frozen=True)
 class Qiga1Config:
     """Knobs of the rotation-gate order-1 baseline."""
 
+    # A mapping or ((x, b, cmp), angle) pairs, such as default_rotation_table(); stored sorted.
     rotation_table: tuple[tuple[tuple[int, int, bool], float], ...] = tuple(
         sorted(default_rotation_table().items())
     )
@@ -113,14 +116,7 @@ class Qiga1Config:
         check_real("epsilon_guard", self.epsilon_guard)
         if not 0.0 <= self.epsilon_guard < 0.3:
             raise ValueError(f"epsilon guard must be in [0, 0.3), got {self.epsilon_guard}")
-        check_int("quantum_population_size", self.quantum_population_size, 1)
-        check_int("max_fitness_evaluations", self.max_fitness_evaluations, 1)
-        if self.max_fitness_evaluations < self.quantum_population_size:
-            raise ValueError("evaluation budget cannot cover one generation")
-
-    @classmethod
-    def with_table(cls, table: RotationTable, **kwargs) -> "Qiga1Config":
-        return cls(rotation_table=tuple(sorted(table.items())), **kwargs)
+        _check_budget(self.quantum_population_size, self.max_fitness_evaluations)
 
     def table_array(self) -> np.ndarray:
         """Angles as a (2, 2, 2) array indexed [x, b, comparison]."""
@@ -374,9 +370,9 @@ def qiga_evolve(
     """Order-r contraction search under a fixed fitness-evaluation budget.
 
     Starts from uniform registers, samples a generation of
-    quantum_population_size * samples_per_individual strings from one
-    chromosome (the quantum individuals would all stay identical), folds them
-    into the global best b, then contracts every register toward b's groups.
+    quantum_population_size strings from one chromosome (the quantum
+    individuals would all stay identical, so each is observed once), folds
+    them into the global best b, then contracts every register toward b's groups.
     The one-run call of qiga_lockstep.
     """
     return qiga_lockstep(problem, config, [rng])[0]
@@ -405,10 +401,9 @@ def qiga_lockstep(
     n = _check_problem(problem, len(rngs))
     check_order(config.order, n)
     packed = _PackedRegisters(n, config.order, len(rngs))
-    per_generation = config.quantum_population_size * config.samples_per_individual
-    mu = config.contraction_factor
+    pop, mu = config.quantum_population_size, config.contraction_factor
     return _lockstep(lambda rows: _score(problem, rows), config.max_fitness_evaluations, len(rngs),
-                     lambda remaining: packed.observe(min(per_generation, remaining), rngs),
+                     lambda remaining: packed.observe(min(pop, remaining), rngs),
                      lambda bits, fitness, tracker: packed.contract(tracker.best, mu))
 
 

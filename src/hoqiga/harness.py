@@ -29,8 +29,8 @@ logger = logging.getLogger(__name__)
 
 # Each algorithm id's config type and the plan parameters it accepts; nothing else lists them.
 ALGORITHMS = {
-    "qiga2": (QigaConfig, ("mu", "quantum_population_size", "samples_per_individual")),
-    "qiga-r": (QigaConfig, ("mu", "order", "quantum_population_size", "samples_per_individual")),
+    "qiga2": (QigaConfig, ("mu", "quantum_population_size")),
+    "qiga-r": (QigaConfig, ("mu", "order", "quantum_population_size")),
     "qiga1": (Qiga1Config, ("angle", "epsilon_guard", "quantum_population_size")),
     "sga": (SgaConfig, ("population_size", "crossover_probability", "mutation_probability")),
 }
@@ -88,7 +88,7 @@ class AlgorithmSpec:
             params["contraction_factor"] = params.pop("mu")
         angle = params.pop("angle", None)
         if angle is not None:
-            params["rotation_table"] = tuple(default_rotation_table(angle).items())
+            params["rotation_table"] = default_rotation_table(angle)
         return config_type(max_fitness_evaluations=max_fitness_evaluations, **params)
 
     def run_group(self, problem: FitnessFunction, seeds, config) -> list[RunResult]:

@@ -8,7 +8,7 @@ from typing import IO
 
 import numpy as np
 
-from .core import BitString, RandomSource
+from .core import BitString, RandomSource, check_int
 
 
 def _check_weight(weight: float) -> None:
@@ -41,8 +41,7 @@ class CnfFormula:
 
     def __post_init__(self):
         self.clauses = tuple(tuple(c) for c in self.clauses)
-        if self.variable_count < 1:
-            raise ValueError(f"variable count must be >= 1, got {self.variable_count}")
+        check_int("variable count", self.variable_count, 1)
         if not self.clauses:
             raise ValueError("formula has no clauses, so every assignment would score 0")
         for i, clause in enumerate(self.clauses):
@@ -200,8 +199,7 @@ class FitnessFunction:
     """
 
     def __init__(self, size: int, optimum: float | None = None, name: str = ""):
-        if size < 1:
-            raise ValueError(f"problem size must be >= 1, got {size}")
+        check_int("problem size", size, 1)
         cls = type(self)
         if cls.__call__ is FitnessFunction.__call__ and cls.batch is FitnessFunction.batch:
             raise TypeError(f"{cls.__name__} must define batch() or __call__()")
@@ -284,8 +282,7 @@ class PairTrap(FitnessFunction):
         attractor_value: float = 0.9,
         mixed_value: float = 0.0,
     ):
-        if pairs < 1:
-            raise ValueError(f"pair count must be >= 1, got {pairs}")
+        check_int("pair count", pairs, 1)
         if not optimum_value > attractor_value > mixed_value:
             raise ValueError(
                 "trap needs optimum_value > attractor_value > mixed_value, got "

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
+from .core import check_int
+
 
 class AlgorithmClass(Enum):
     """Where an algorithm sits on the classical-to-quantum spectrum."""
@@ -24,9 +26,9 @@ class AlgorithmClass(Enum):
 
 
 def _check_order(r: int, n: int) -> None:
-    if n < 1:
-        raise ValueError(f"problem size must be >= 1, got {n}")
-    if not 1 <= r <= n:
+    check_int("problem size", n, 1)
+    check_int("order", r, 1)
+    if r > n:
         raise ValueError(f"order must satisfy 1 <= r <= N, got r={r}, N={n}")
 
 

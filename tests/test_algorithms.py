@@ -233,15 +233,14 @@ def reference_qiga_evolve(problem, config, rng):
     best_bits, best_fitness = None, -math.inf
     trajectory = []
     while len(trajectory) < config.max_fitness_evaluations:
-        for i in range(len(population)):
-            for _ in range(config.samples_per_individual):
-                if len(trajectory) >= config.max_fitness_evaluations:
-                    break
-                bits = observe_chromosome(population[i], rng)
-                fitness = problem(bits)
-                if fitness > best_fitness:
-                    best_fitness, best_bits = fitness, bits.copy()
-                trajectory.append(best_fitness)
+        for chromosome in population:
+            if len(trajectory) >= config.max_fitness_evaluations:
+                break
+            bits = observe_chromosome(chromosome, rng)
+            fitness = problem(bits)
+            if fitness > best_fitness:
+                best_fitness, best_bits = fitness, bits.copy()
+            trajectory.append(best_fitness)
         if len(trajectory) >= config.max_fitness_evaluations:
             break
         population = update_quantum_population(
@@ -258,11 +257,10 @@ class TestQigaEvolve:
             (onemax(5), QigaConfig(order=2, quantum_population_size=4, max_fitness_evaluations=200)),
             (pair_trap(3), QigaConfig(order=2, quantum_population_size=4, max_fitness_evaluations=200)),
             (onemax(7), QigaConfig(order=3, quantum_population_size=4, max_fitness_evaluations=200)),
-            (onemax(6), QigaConfig(order=2, quantum_population_size=3,
-                                   samples_per_individual=2, max_fitness_evaluations=100)),
-            # 203 leaves a ragged final generation of 3 samples from individuals 0 and 1.
-            (pair_trap(4), QigaConfig(order=3, quantum_population_size=4,
-                                      samples_per_individual=2, max_fitness_evaluations=203)),
+            (onemax(6), QigaConfig(order=2, quantum_population_size=6, max_fitness_evaluations=100)),
+            # 203 leaves a ragged final generation of 3 samples from individuals 0 to 2.
+            (pair_trap(4), QigaConfig(order=3, quantum_population_size=8,
+                                      max_fitness_evaluations=203)),
         ]
         for problem, config in cases:
             result = qiga_evolve(problem, config, RandomSource(31))
@@ -272,14 +270,6 @@ class TestQigaEvolve:
             assert result.best_fitness == ref_fitness
             assert np.array_equal(result.best_bits, ref_bits)
             assert np.array_equal(result.trajectory, ref_trajectory)
-
-    def test_samples_per_individual_sets_generation_size(self):
-        config = QigaConfig(
-            quantum_population_size=4, samples_per_individual=3, max_fitness_evaluations=60
-        )
-        result = qiga_evolve(onemax(6), config, RandomSource(5))
-        assert result.evaluations == 60
-        assert result.generations == 60 // (4 * 3)
 
     def test_onemax_success_rate(self):
         # Regression bound measured over seeds 0..99 and frozen.
@@ -303,8 +293,7 @@ class TestQigaEvolve:
         # 12 bits in four order-3 registers: 32 thresholds compared per row,
         # so the default compares a whole generation of 8 rows in one step.
         problem = pair_trap(6)
-        config = QigaConfig(order=3, quantum_population_size=4,
-                            samples_per_individual=2, max_fitness_evaluations=203)
+        config = QigaConfig(order=3, quantum_population_size=8, max_fitness_evaluations=203)
         whole = qiga_evolve(problem, config, RandomSource(5))
         monkeypatch.setattr(_PackedRegisters, "OBSERVE_CHUNK", rows_per_step * 32)
         stepped = qiga_evolve(problem, config, RandomSource(5))
@@ -350,29 +339,10 @@ class TestQigaEvolve:
         expected = [observe_chromosome(chromosome, source) for _ in range(k)]
         assert samples[0].tobytes() == np.array(expected).tobytes()
 
-    @pytest.mark.parametrize("problem", [pair_trap(4), onemax(7)], ids=["trap", "onemax"])
-    def test_results_depend_only_on_generation_size(self, problem):
-        # Every quantum individual is contracted toward the same best by the
-        # same factor, so they stay identical: only pop * samples matters.
-        for budget in (120, 203):
-            for seed in (0, 1, 2):
-                results = [
-                    qiga_evolve(problem, QigaConfig(
-                        order=3, quantum_population_size=pop, samples_per_individual=spi,
-                        max_fitness_evaluations=budget,
-                    ), RandomSource(seed))
-                    for pop, spi in ((6, 1), (3, 2), (2, 3), (1, 6))
-                ]
-                for result in results[1:]:
-                    assert result.best_bits.tobytes() == results[0].best_bits.tobytes()
-                    assert result.best_fitness == results[0].best_fitness
-                    assert result.trajectory.tobytes() == results[0].trajectory.tobytes()
-
     def test_scalar_only_problem_sees_samples_in_order(self):
         # A __call__-only problem is scored one row per sample, in the order
         # the samples were drawn.
-        config = QigaConfig(order=2, quantum_population_size=4,
-                            samples_per_individual=2, max_fitness_evaluations=203)
+        config = QigaConfig(order=2, quantum_population_size=8, max_fitness_evaluations=203)
         problem = RecordingProblem(pair_trap(4))
         result = qiga_evolve(problem, config, RandomSource(12))
         reference = RecordingProblem(pair_trap(4))
@@ -466,11 +436,10 @@ class TestQiga1Evolve:
         cases = [
             (onemax(9), Qiga1Config(max_fitness_evaluations=300)),
             (pair_trap(5), Qiga1Config(quantum_population_size=7, max_fitness_evaluations=200)),
-            (onemax(12), Qiga1Config.with_table(steep, epsilon_guard=0.0,
-                                                quantum_population_size=6,
-                                                max_fitness_evaluations=250)),
-            (pair_trap(3), Qiga1Config.with_table(distinct, quantum_population_size=4,
-                                                  max_fitness_evaluations=203)),
+            (onemax(12), Qiga1Config(rotation_table=steep, epsilon_guard=0.0,
+                                     quantum_population_size=6, max_fitness_evaluations=250)),
+            (pair_trap(3), Qiga1Config(rotation_table=distinct, quantum_population_size=4,
+                                       max_fitness_evaluations=203)),
         ]
         for problem, config in cases:
             for seed in (0, 7, 31):
@@ -538,9 +507,8 @@ class TestQiga1Evolve:
 
     def test_zero_table_equals_random_sampling(self):
         table = {k: 0.0 for k in default_rotation_table()}
-        config = Qiga1Config.with_table(
-            table, quantum_population_size=5, max_fitness_evaluations=200
-        )
+        config = Qiga1Config(rotation_table=table, quantum_population_size=5,
+                             max_fitness_evaluations=200)
         problem = onemax(9)
         result = qiga1_evolve(problem, config, RandomSource(21))
         # With no rotation the quantum state never moves, so the run is pure
@@ -581,7 +549,7 @@ class TestQiga1Evolve:
         with pytest.raises(ValueError, match="pi/2"):
             bad = {k: 0.0 for k in default_rotation_table()}
             bad[(0, 1, False)] = 2.0
-            Qiga1Config.with_table(bad)
+            Qiga1Config(rotation_table=bad)
         with pytest.raises(ValueError, match="epsilon"):
             Qiga1Config(epsilon_guard=0.3)
 
@@ -916,20 +884,19 @@ class TestQigaLockstep:
         order=st.integers(1, 4),
         extra=st.integers(0, 9),
         kind=st.sampled_from(["onemax", "trap", "3sat"]),
-        pop=st.integers(1, 4),
-        spi=st.integers(1, 3),
+        pop=st.integers(1, 12),
         budget=st.sampled_from([12, 50, 203]),
         seed=st.integers(0, 2**20),
     )
     @settings(max_examples=60, deadline=None)
-    def test_each_run_matches_its_own_qiga_evolve(self, runs, order, extra, kind, pop, spi,
-                                                  budget, seed):
+    def test_each_run_matches_its_own_qiga_evolve(self, runs, order, extra, kind, pop, budget,
+                                                  seed):
         # n = order + extra covers n below, at and between multiples of the order.
         n = max(order + extra, 3)
         source = {"onemax": f"onemax:{n}", "trap": f"trap:{(n + 1) // 2}",
                   "3sat": f"3sat:{n}:{4 * n}:{seed}"}[kind]
         problem = load_problem(source)
-        config = QigaConfig(order=order, quantum_population_size=pop, samples_per_individual=spi,
+        config = QigaConfig(order=order, quantum_population_size=pop,
                             max_fitness_evaluations=budget)
         seeds = range(seed, seed + runs)
         results = qiga_lockstep(problem, config, [RandomSource(s) for s in seeds])
@@ -960,8 +927,8 @@ class TestQiga1Lockstep:
         problem = load_problem(f"onemax:{n}" if kind == "onemax" else f"3sat:{max(n, 3)}:12:{seed}")
         budget = {"one": pop, "short": 2 * pop - 1}.get(budget, budget)
         table = DISTINCT_TABLE if distinct else default_rotation_table()
-        config = Qiga1Config.with_table(table, epsilon_guard=guard, quantum_population_size=pop,
-                                        max_fitness_evaluations=budget)
+        config = Qiga1Config(rotation_table=table, epsilon_guard=guard,
+                             quantum_population_size=pop, max_fitness_evaluations=budget)
         seeds = range(seed, seed + runs)
         results = qiga1_lockstep(problem, config, [RandomSource(s) for s in seeds])
         assert len(results) == runs
@@ -1059,8 +1026,8 @@ class TestSgaLockstep:
 
 @pytest.mark.parametrize("lockstep, evolve, config, evaluations", [
     pytest.param(qiga_lockstep, qiga_evolve,
-                 QigaConfig(order=3, quantum_population_size=3, samples_per_individual=2,
-                            max_fitness_evaluations=203), 203, id="qiga"),
+                 QigaConfig(order=3, quantum_population_size=6, max_fitness_evaluations=203), 203,
+                 id="qiga"),
     pytest.param(qiga1_lockstep, qiga1_evolve,
                  Qiga1Config(quantum_population_size=6, max_fitness_evaluations=203), 203,
                  id="qiga1"),
@@ -1115,7 +1082,7 @@ def test_lockstep_without_random_sources_names_the_cause(engine, config):
 
 INT_FIELDS = [
     (QigaConfig, name) for name in
-    ("order", "quantum_population_size", "samples_per_individual", "max_fitness_evaluations")
+    ("order", "quantum_population_size", "max_fitness_evaluations")
 ] + [(Qiga1Config, "quantum_population_size"), (Qiga1Config, "max_fitness_evaluations"),
      (SgaConfig, "population_size"), (SgaConfig, "max_fitness_evaluations")]
 
@@ -1125,6 +1092,13 @@ INT_FIELDS = [
 def test_integer_config_fields_reject_other_types_by_name(config_type, name, value):
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
         config_type(**{name: value})
+
+
+@pytest.mark.parametrize("config_type", [QigaConfig, Qiga1Config])
+def test_budget_below_one_generation_names_both_counts(config_type):
+    message = "evaluation budget 5 cannot cover one generation of 10 samples"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        config_type(quantum_population_size=10, max_fitness_evaluations=5)
 
 
 REAL_FIELDS = [(QigaConfig, "contraction_factor"), (Qiga1Config, "epsilon_guard"),
@@ -1145,7 +1119,7 @@ def test_rotation_angles_reject_other_values_by_name(value):
         default_rotation_table(value)
     table = {**default_rotation_table(), (0, 1, False): value}
     with pytest.raises(ValueError, match="^rotation angle must be a finite real number, got "):
-        Qiga1Config.with_table(table)
+        Qiga1Config(rotation_table=table)
 
 
 def test_every_scalar_config_field_is_checked_by_name():

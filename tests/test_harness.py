@@ -135,7 +135,8 @@ class TestPlanValidation:
         "algo_id, param",
         [("qiga2", "order"), ("qiga2", "contraction_factor"), ("qiga-r", "rotation_table"),
          ("qiga1", "mu"), ("qiga1", "max_fitness_evaluations"), ("sga", "generations"),
-         ("sga", "order")],
+         ("sga", "order"), ("qiga2", "samples_per_individual"),
+         ("qiga-r", "samples_per_individual")],
     )
     def test_parameter_outside_the_table_rejected_by_name(self, algo_id, param):
         spec = AlgorithmSpec(algo_id, {param: 3})

@@ -207,6 +207,16 @@ class TestSyntheticProblems:
         assert np.array_equal(problem.batch(rows), [problem(r) for r in rows])
 
 
+@pytest.mark.parametrize("build, name", [
+    (onemax, "problem size"), (pair_trap, "pair count"),
+    (lambda n: CnfFormula(n, ((1,),)), "variable count"),
+], ids=["onemax", "pairtrap", "cnf"])
+@pytest.mark.parametrize("value", [2.5, True, "2", np.int64(4)])
+def test_problem_sizes_must_be_integers(build, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        build(value)
+
+
 def _weighted_3sat(n_vars: int, clause_count: int, seed: int) -> CnfFormula:
     rng = RandomSource(seed)
     formula = generate_uniform_3sat(n_vars, clause_count, rng)

@@ -32,6 +32,15 @@ class TestRelativeOrder:
             relative_order(r, n)
 
 
+@pytest.mark.parametrize("function", [relative_order, log2_quantum_factor, order_profile])
+@pytest.mark.parametrize("value", [2.5, True, "2"])
+def test_order_and_problem_size_must_be_integers(function, value):
+    with pytest.raises(ValueError, match="^order must be an integer, got "):
+        function(value, 4)
+    with pytest.raises(ValueError, match="^problem size must be an integer, got "):
+        function(1, value)
+
+
 class TestQuantumFactor:
     def test_ten_independent_qubits(self):
         # 2 * 10 / 2**10 = 20/1024
