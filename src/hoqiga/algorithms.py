@@ -16,9 +16,10 @@ All evolvers consume exactly the configured fitness-evaluation budget and
 record the best-so-far fitness at every evaluation, so runs with different
 generation sizes plot on a common axis.  The three lockstep engines share one
 generation loop, _lockstep: until the budget is spent it samples a generation
-of every run, scores its rows, folds them into one _BestTracker per group in
-sample order (so results match sampling one bitstring at a time), and, while
-budget remains, updates the model.  Each engine supplies only its two steps:
+of every run (the last one cut to the remaining budget), scores its rows, folds
+them into one _BestTracker per group in sample order (so results match sampling
+one bitstring at a time), and, while budget remains, updates the model.  Each
+engine supplies its generation size and only its two steps:
 qiga observes its registers, then contracts them toward the best; qiga1
 compares draws with its alpha plane, then rotates and clamps its qubits; sga
 hands over its population, then selects, crosses and mutates.  qiga and sga
@@ -41,6 +42,9 @@ from .problems import FitnessFunction
 logger = logging.getLogger(__name__)
 
 BATCH_ROWS = 100  # most rows one problem.batch call scores, which bounds its temporaries
+# Most amplitudes (sga: bits) of one lockstep group, and most thresholds one observe step
+# compares (a larger row goes alone).
+LOCKSTEP_CELLS = 1 << 16
 
 RotationTable = dict[tuple[int, int, bool], float]
 
@@ -66,7 +70,7 @@ def default_rotation_table(angle: float = 0.01 * math.pi) -> RotationTable:
 
 
 def _check_budget(quantum_population_size, max_fitness_evaluations) -> None:
-    """Both counts are ints >= 1, and the budget covers one generation of the population."""
+    """The generation size and the budget are ints >= 1, and the budget covers one generation."""
     check_int("quantum_population_size", quantum_population_size, 1)
     check_int("max_fitness_evaluations", max_fitness_evaluations, 1)
     if max_fitness_evaluations < quantum_population_size:
@@ -128,7 +132,7 @@ class Qiga1Config:
 
 @dataclass(frozen=True)
 class SgaConfig:
-    """Knobs of the classical generational GA, budgeted in whole generations."""
+    """Knobs of the classical generational GA."""
 
     population_size: int = 100
     crossover_probability: float = 0.65
@@ -139,10 +143,7 @@ class SgaConfig:
         check_int("population_size", self.population_size)
         if self.population_size < 2 or self.population_size % 2 != 0:
             raise ValueError(f"population size must be even and >= 2, got {self.population_size}")
-        check_int("max_fitness_evaluations", self.max_fitness_evaluations, 1)
-        if self.max_fitness_evaluations % self.population_size:
-            raise ValueError(f"budget {self.max_fitness_evaluations} is not a whole number of "
-                             f"sga generations of {self.population_size} evaluations")
+        _check_budget(self.population_size, self.max_fitness_evaluations)
         for name, p in (("crossover_probability", self.crossover_probability),
                         ("mutation_probability", self.mutation_probability)):
             check_real(name, p)
@@ -226,9 +227,10 @@ def contraction_update(reg: QuantumRegister, best_group: int, mu: float) -> Quan
     squared), so the register stays normalized and (for nonnegative inputs)
     the best amplitude never decreases.
     """
-    dim = len(reg.amplitudes)
-    if not 0 <= best_group < dim:
-        raise ValueError(f"best group must be in [0, {dim}), got {best_group}")
+    check_int("best group", best_group)
+    if not 0 <= best_group < 2**reg.order:
+        raise ValueError(f"best group must be in [0, {2**reg.order}), got {best_group}")
+    check_real("contraction factor", mu)
     if not 0.0 < mu <= 1.0:
         raise ValueError(f"contraction factor must be in (0, 1], got {mu}")
     scaled = reg.amplitudes * mu
@@ -273,9 +275,6 @@ class _PackedRegisters:
     like observe_chromosome.
     """
 
-    OBSERVE_CHUNK = 1 << 16  # most thresholds compared per observe step; a larger row goes alone
-    LOCKSTEP_AMPLITUDES = 1 << 16  # most amplitudes (sga: bits) of one lockstep group
-
     def __init__(self, n_bits: int, order: int, runs: int = 1):
         layout = chromosome_layout(n_bits, order)
         self.registers_per_individual = len(layout)
@@ -286,7 +285,7 @@ class _PackedRegisters:
             shifts = np.arange(block_order - 1, -1, -1)
             bit_table = ((np.arange(dim)[:, None] >> shifts) & 1).astype(np.uint8)
             self.blocks.append((shifts, bit_table, amplitudes))
-        self.chunk = max(1, self.OBSERVE_CHUNK // sum(a.size for *_, a in self.blocks))
+        self.chunk = max(1, LOCKSTEP_CELLS // sum(a.size for *_, a in self.blocks))
 
     def observe(self, k: int, rngs: list[RandomSource]) -> np.ndarray:
         """A (runs, k, n) array of samples; run s draws as k observe_chromosome calls on rngs[s]."""
@@ -346,17 +345,18 @@ def _score(problem: FitnessFunction, rows: np.ndarray) -> np.ndarray:
     return np.concatenate([problem.batch(rows[i : i + BATCH_ROWS]) for i in starts])
 
 
-def _lockstep(score, budget: int, runs: int, sample, update) -> list[RunResult]:
+def _lockstep(score, budget: int, runs: int, generation: int, sample, update) -> list[RunResult]:
     """The generation loop of every lockstep engine, under one _BestTracker.
 
-    sample(remaining) returns the next (runs, k, n) generation, k <= remaining; score
-    returns the values of its run-major (runs * k, n) rows, in order.  After each
-    generation is recorded, update(bits, fitness, tracker) advances the engine's model,
-    only while budget remains, so a final ragged generation is never followed by one.
+    sample(k) returns the next (runs, k, n) generation: k is the generation size, cut to
+    the remaining budget in the last generation.  score returns the values of its
+    run-major (runs * k, n) rows, in order.  After each generation is recorded,
+    update(bits, fitness, tracker) advances the engine's model, only while budget
+    remains, so every update sees a whole generation.
     """
     tracker = _BestTracker(budget, runs)
     while tracker.remaining:
-        bits = sample(tracker.remaining)
+        bits = sample(min(generation, tracker.remaining))
         fitness = score(bits.reshape(-1, bits.shape[-1])).reshape(runs, -1)
         tracker.record(bits, fitness)
         if tracker.remaining:
@@ -379,14 +379,14 @@ def qiga_evolve(
 
 
 def lockstep_group_size(config: QigaConfig | Qiga1Config | SgaConfig, n_bits: int) -> int:
-    """Most lockstep runs of config whose state fits _PackedRegisters.LOCKSTEP_AMPLITUDES."""
+    """Most lockstep runs of config whose state fits LOCKSTEP_CELLS."""
     if isinstance(config, SgaConfig):  # one per bit of the population
         per_run = config.population_size * n_bits
     elif isinstance(config, Qiga1Config):
         per_run = 2 * config.quantum_population_size * n_bits
     else:  # a missing tail register counts 1
         per_run = n_bits // config.order * 2**config.order + 2 ** (n_bits % config.order)
-    return max(1, _PackedRegisters.LOCKSTEP_AMPLITUDES // per_run)
+    return max(1, LOCKSTEP_CELLS // per_run)
 
 
 def qiga_lockstep(
@@ -401,9 +401,9 @@ def qiga_lockstep(
     n = _check_problem(problem, len(rngs))
     check_order(config.order, n)
     packed = _PackedRegisters(n, config.order, len(rngs))
-    pop, mu = config.quantum_population_size, config.contraction_factor
+    mu = config.contraction_factor
     return _lockstep(lambda rows: _score(problem, rows), config.max_fitness_evaluations, len(rngs),
-                     lambda remaining: packed.observe(min(pop, remaining), rngs),
+                     config.quantum_population_size, lambda k: packed.observe(k, rngs),
                      lambda bits, fitness, tracker: packed.contract(tracker.best, mu))
 
 
@@ -435,8 +435,7 @@ def qiga1_lockstep(
     cos_table, sin_table = np.cos(table).ravel(), np.sin(table).ravel()
     state = np.full((2, runs, pop, n), math.sqrt(0.5))
 
-    def observe(remaining: int) -> np.ndarray:
-        k = min(pop, remaining)
+    def observe(k: int) -> np.ndarray:
         draws = np.concatenate([rng.uniforms(k * n) for rng in rngs]).reshape(runs, k, n)
         return (draws >= state[0, :, :k] ** 2).astype(np.uint8)
 
@@ -450,7 +449,7 @@ def qiga1_lockstep(
         _clamp_poles(np.moveaxis(state, 0, -1), config.epsilon_guard)
 
     return _lockstep(lambda rows: np.array([problem(row) for row in rows]),
-                     config.max_fitness_evaluations, runs, observe, rotate)
+                     config.max_fitness_evaluations, runs, pop, observe, rotate)
 
 
 def _clamp_poles(state: np.ndarray, eps: float) -> None:
@@ -531,7 +530,7 @@ def sga_lockstep(
         population = children ^ flips.astype(np.uint8)
 
     return _lockstep(lambda rows: _score(problem, rows), config.max_fitness_evaluations, runs,
-                     lambda remaining: population, breed)  # the budget is whole generations
+                     pop, lambda k: population[:, :k], breed)
 
 
 def single_point_crossover(

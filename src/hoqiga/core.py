@@ -128,8 +128,7 @@ class QuantumChromosome:
     def __post_init__(self):
         regs = tuple(self.registers)
         object.__setattr__(self, "registers", regs)
-        if self.length < 1:
-            raise ValueError(f"chromosome length must be >= 1, got {self.length}")
+        check_int("chromosome length", self.length, 1)
         if not regs:
             raise ValueError("chromosome needs at least one register")
         orders = [r.order for r in regs]
@@ -154,8 +153,7 @@ def chromosome_layout(n_bits: int, order: int) -> list[int]:
     A trailing remainder becomes one shorter register, so any problem size
     works with any order.
     """
-    if n_bits < 1:
-        raise ValueError(f"gene count must be >= 1, got {n_bits}")
+    check_int("gene count", n_bits, 1)
     check_order(order)
     full, tail = divmod(n_bits, order)
     return [order] * full + ([tail] if tail else [])
@@ -171,6 +169,7 @@ def register_uniform(order: int) -> QuantumRegister:
 def register_basis(order: int, index: int) -> QuantumRegister:
     """Register that deterministically observes the given group value."""
     check_order(order)
+    check_int("basis index", index)
     if not 0 <= index < 2**order:
         raise ValueError(f"basis index must be in [0, {2**order}), got {index}")
     amps = np.zeros(2**order)

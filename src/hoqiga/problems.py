@@ -312,10 +312,10 @@ def pair_trap(pairs: int, **trap_values: float) -> FitnessFunction:
 
 def generate_uniform_3sat(n_vars: int, clause_count: int, rng: RandomSource) -> CnfFormula:
     """Random 3-SAT: three distinct variables per clause, each sign a coin flip."""
+    check_int("variable count", n_vars)
     if n_vars < 3:
         raise ValueError(f"uniform 3-SAT needs at least 3 variables, got {n_vars}")
-    if clause_count < 1:
-        raise ValueError(f"clause count must be >= 1, got {clause_count}")
+    check_int("clause count", clause_count, 1)
     clauses = []
     for _ in range(clause_count):
         variables = rng.gen.choice(n_vars, size=3, replace=False) + 1

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hoqiga.algorithms
 from hoqiga.algorithms import (
     BATCH_ROWS,
     Qiga1Config,
@@ -295,7 +296,7 @@ class TestQigaEvolve:
         problem = pair_trap(6)
         config = QigaConfig(order=3, quantum_population_size=8, max_fitness_evaluations=203)
         whole = qiga_evolve(problem, config, RandomSource(5))
-        monkeypatch.setattr(_PackedRegisters, "OBSERVE_CHUNK", rows_per_step * 32)
+        monkeypatch.setattr(hoqiga.algorithms, "LOCKSTEP_CELLS", rows_per_step * 32)
         stepped = qiga_evolve(problem, config, RandomSource(5))
         assert np.array_equal(stepped.best_bits, whole.best_bits)
         assert stepped.trajectory.tobytes() == whole.trajectory.tobytes()
@@ -306,9 +307,9 @@ class TestQigaEvolve:
                                                        one_row_steps):
         # Orders 1 and 2 on 250 or 251 genes compare value-major (at least as many
         # registers as values); orders 6 and 8 compare register-major.  251 and 26
-        # genes add a ragged tail register; OBSERVE_CHUNK 1 compares one row a step.
+        # genes add a ragged tail register; LOCKSTEP_CELLS 1 compares one row a step.
         if one_row_steps:
-            monkeypatch.setattr(_PackedRegisters, "OBSERVE_CHUNK", 1)
+            monkeypatch.setattr(hoqiga.algorithms, "LOCKSTEP_CELLS", 1)
         runs, k = 3, 7
         packed = _PackedRegisters(n, order, runs)
         draws = np.random.default_rng(n + order)
@@ -815,20 +816,19 @@ class TestBestTracker:
 class TestLockstepLoop:
     def test_budget_gates_every_sample_and_update(self):
         runs, k, budget = 2, 3, 7
-        remaining_seen, updates = [], []
+        sizes, updates = [], []
 
-        def sample(remaining):
-            remaining_seen.append(remaining)
-            rows = min(k, remaining)
+        def sample(rows):
+            sizes.append(rows)
             return np.arange(runs * rows * 4, dtype=np.uint8).reshape(runs, rows, 4) % 2
 
         def update(bits, fitness, tracker):
             assert bits.shape == (runs, k, 4) and fitness.shape == (runs, k)
             updates.append(tracker.count)
 
-        results = _lockstep(lambda rows: rows.sum(axis=1).astype(float), budget, runs, sample,
-                            update)
-        assert remaining_seen == [7, 4, 1]
+        results = _lockstep(lambda rows: rows.sum(axis=1).astype(float), budget, runs, k,
+                            sample, update)
+        assert sizes == [3, 3, 1]  # the last generation is cut to the remaining budget
         assert updates == [3, 6]
         assert [(r.evaluations, r.generations) for r in results] == [(7, 3)] * runs
         assert [len(r.trajectory) for r in results] == [7] * runs
@@ -999,17 +999,22 @@ class TestSgaLockstep:
         kind=st.sampled_from(sorted(SGA_PROBLEMS)),
         crossover=st.sampled_from([0.0, 1.0, SgaConfig().crossover_probability]),
         generations=st.integers(1, 6),
+        extra=st.integers(0, 19),
         seed=st.integers(0, 2**20),
     )
+    # The paper's 5000 evaluations at a population of 30: 166 generations and one of 20.
+    @example(runs=2, half_pop=15, n=20, kind="3sat", crossover=SgaConfig().crossover_probability,
+             generations=166, extra=20, seed=3)
     @settings(max_examples=60, deadline=None)
     def test_each_run_matches_its_own_sga_evolve_and_the_reference(
-        self, runs, half_pop, n, kind, crossover, generations, seed
+        self, runs, half_pop, n, kind, crossover, generations, extra, seed
     ):
         # "negated" takes the negative-shift path and "zero" the all-zero fallback;
-        # n = 1 draws no crossover numbers.
+        # n = 1 draws no crossover numbers.  A nonzero extra % pop cuts the last generation.
         problem = SGA_PROBLEMS[kind](n, seed)
-        config = SgaConfig(population_size=2 * half_pop,
-                           max_fitness_evaluations=2 * half_pop * generations,
+        pop = 2 * half_pop
+        budget = pop * generations + extra % pop
+        config = SgaConfig(population_size=pop, max_fitness_evaluations=budget,
                            crossover_probability=crossover)
         rngs = [RandomSource(seed + i) for i in range(runs)]
         results = sga_lockstep(problem, config, rngs)
@@ -1018,8 +1023,7 @@ class TestSgaLockstep:
             single, reference = RandomSource(seed + i), RandomSource(seed + i)
             assert same_run(result, sga_evolve(problem, config, single))
             assert same_run(result, reference_sga_evolve(problem, config, reference))
-            assert (result.evaluations, result.generations) == (2 * half_pop * generations,
-                                                                generations)
+            assert (result.evaluations, result.generations) == (budget, -(-budget // pop))
             state = rng.gen.bit_generator.state
             assert state == single.gen.bit_generator.state == reference.gen.bit_generator.state
 
@@ -1032,7 +1036,7 @@ class TestSgaLockstep:
                  Qiga1Config(quantum_population_size=6, max_fitness_evaluations=203), 203,
                  id="qiga1"),
     pytest.param(sga_lockstep, sga_evolve,
-                 SgaConfig(population_size=6, max_fitness_evaluations=6 * 5), 30, id="sga"),
+                 SgaConfig(population_size=6, max_fitness_evaluations=6 * 5 + 2), 32, id="sga"),
 ])
 def test_scalar_only_problem_sees_each_runs_rows_in_sample_order(lockstep, evolve, config,
                                                                   evaluations):
@@ -1055,10 +1059,10 @@ def test_scalar_only_problem_sees_each_runs_rows_in_sample_order(lockstep, evolv
     # the last of 10 generations has 5 samples a run, 125 rows.
     pytest.param(qiga_lockstep, qiga_evolve, QigaConfig(max_fitness_evaluations=95),
                  [(100, 20), (100, 20), (50, 20)] * 9 + [(100, 20), (25, 20)], id="qiga"),
-    # 25 runs x 10 individuals = 250 rows a generation, 4 generations.
+    # 25 runs x 10 individuals = 250 rows a generation; the last of 4 has 5 a run.
     pytest.param(sga_lockstep, sga_evolve,
-                 SgaConfig(population_size=10, max_fitness_evaluations=10 * 4),
-                 [(100, 20), (100, 20), (50, 20)] * 4, id="sga"),
+                 SgaConfig(population_size=10, max_fitness_evaluations=35),
+                 [(100, 20), (100, 20), (50, 20)] * 3 + [(100, 20), (25, 20)], id="sga"),
 ])
 def test_batch_calls_are_two_dimensional_and_capped(lockstep, evolve, config, shapes):
     problem = BatchSpy(load_problem("3sat:20:80:4"))
@@ -1094,11 +1098,13 @@ def test_integer_config_fields_reject_other_types_by_name(config_type, name, val
         config_type(**{name: value})
 
 
-@pytest.mark.parametrize("config_type", [QigaConfig, Qiga1Config])
-def test_budget_below_one_generation_names_both_counts(config_type):
+@pytest.mark.parametrize("config_type, population", [(QigaConfig, "quantum_population_size"),
+                                                     (Qiga1Config, "quantum_population_size"),
+                                                     (SgaConfig, "population_size")])
+def test_budget_below_one_generation_names_both_counts(config_type, population):
     message = "evaluation budget 5 cannot cover one generation of 10 samples"
     with pytest.raises(ValueError, match=f"^{message}$"):
-        config_type(quantum_population_size=10, max_fitness_evaluations=5)
+        config_type(**{population: 10, "max_fitness_evaluations": 5})
 
 
 REAL_FIELDS = [(QigaConfig, "contraction_factor"), (Qiga1Config, "epsilon_guard"),

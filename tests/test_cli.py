@@ -1,6 +1,7 @@
 """CLI surface tests: flags, exit codes, file outputs, determinism."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -100,7 +101,7 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("--algo", "sga", "--maxfe", "150"),
+            ("--algo", "sga", "--maxfe", "50"),
             ("--algo", "qiga2", "--maxfe", "5"),
             ("--algo", "qiga2", "--mu", "1.5"),
             ("--algo", "qiga1", "--mu", "0.9"),
@@ -609,6 +610,23 @@ class TestMetaCommand:
         code, _, err = invoke(capsys, "meta", "--spec", str(path))
         assert code == 2
         assert "tuning grid must be non-empty" in err
+
+
+def test_demo_plan_and_meta_grid_keep_their_bytes(capsys, tmp_path):
+    # sha256 digests of the demo plan's CSVs and of one meta grid; a change that keeps
+    # results must keep them.  Any two commits can be compared by this test alone.
+    plan = Path(__file__).resolve().parents[1] / "plans" / "demo.json"
+    assert invoke(capsys, "bench", "--plan", str(plan), "--jobs", "2",
+                  "--outdir", str(tmp_path / "demo"))[0] == 0
+    assert invoke(capsys, "meta", "--grid", "0.5,0.9,0.99", "--problems", "trap:24,onemax:48",
+                  "--runs", "20", "--out", str(tmp_path / "meta.csv"))[0] == 0
+    digests = {path: hashlib.sha256((tmp_path / path).read_bytes()).hexdigest()
+               for path in ("demo/runs.csv", "demo/aggregate.csv", "meta.csv")}
+    assert digests == {
+        "demo/runs.csv": "ae83f300e4cecefbe1d98fd6a2bcff79251c134fb12cd52a2b678e95bd6f5bfd",
+        "demo/aggregate.csv": "23afed11ec580a63f6d66fb41be4402d49901158400b4f685d8ca987c4988268",
+        "meta.csv": "6a22c45e32561f009af5ec0854e46638310d80ec1b20f8189463e2c119fd6b9d",
+    }
 
 
 class TestConfigTypesAndDocumentShapes:

@@ -1,10 +1,13 @@
 """Register construction, observation and randomness-contract tests."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hoqiga.algorithms import contraction_update
 from hoqiga.core import (
     QuantumChromosome,
     QuantumRegister,
@@ -254,3 +257,24 @@ class TestRandomSource:
         with pytest.raises(ValueError) as raised:
             RandomSource(seed)
         assert str(raised.value) == message
+
+
+REGISTER_COUNTS = {
+    "gene count": lambda v: chromosome_layout(v, 1),
+    "chromosome length": lambda v: QuantumChromosome(v, (register_uniform(1),) * 2),
+    "basis index": lambda v: register_basis(2, v),
+    "best group": lambda v: contraction_update(register_uniform(2), v, 0.5),
+}
+
+
+@pytest.mark.parametrize("name, call, value", [
+    *[(name, call, value) for name, call in REGISTER_COUNTS.items()
+      for value in (2.5, 2.0, True, "2")],
+    ("gene count", lambda v: chromosome_uniform(v, 2), 4.0),
+    *[("contraction factor", lambda v: contraction_update(register_uniform(2), 0, v), value)
+      for value in ("0.5", None, True, math.nan)],
+])
+def test_register_arguments_reject_other_types_by_name(name, call, value):
+    kind = "a finite real number" if name == "contraction factor" else "an integer"
+    with pytest.raises(ValueError, match=f"^{name} must be {kind}, got "):
+        call(value)

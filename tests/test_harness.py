@@ -157,10 +157,6 @@ class TestPlanValidation:
         documented = {algo_id: tuple(re.findall(r"`([^`]+)`", params)) for algo_id, params in rows}
         assert documented == {algo_id: params for algo_id, (_, params) in ALGORITHMS.items()}
 
-    def test_sga_budget_must_be_whole_generations(self):
-        with pytest.raises(ValueError, match="whole number"):
-            AlgorithmSpec("sga").build(5050)
-
     @pytest.mark.parametrize("population", [0, 7])
     def test_sga_population_validated_before_budget(self, population):
         with pytest.raises(ValueError, match="population size must be even"):
@@ -251,6 +247,19 @@ class TestRunExperiment:
                 for cell in result.cells
             ]
             assert got == expected, jobs
+
+    def test_sga_cell_cuts_its_last_generation(self):
+        # 100 evaluations are three sga generations of 30 and a last one cut to 10.
+        spec = AlgorithmSpec("sga", {"population_size": 30})
+        cells = [run_experiment(small_plan(algorithms=(spec,), jobs=jobs)).cells[0]
+                 for jobs in (1, 2)]
+        serial, parallel = ([(r.seed, r.best_fitness, r.best_bits, r.trajectory.tobytes())
+                             for r in cell.runs] for cell in cells)
+        assert not cells[0].failed and serial == parallel
+        assert [len(r.trajectory) for r in cells[0].runs] == [100] * 3
+        problem = small_plan().problems[0].load()
+        assert [spec.run(problem, r.seed, spec.build(100)).generations
+                for r in cells[0].runs] == [4] * 3
 
     def test_problem_pickled_once_per_chunk(self, monkeypatch):
         monkeypatch.setattr(
@@ -516,7 +525,7 @@ class TestLockstepGroups:
             return lockstep(problem, config, rngs)
 
         monkeypatch.setattr(hoqiga.harness, engine, spy)
-        monkeypatch.setattr(hoqiga.algorithms._PackedRegisters, "LOCKSTEP_AMPLITUDES", amplitudes)
+        monkeypatch.setattr(hoqiga.algorithms, "LOCKSTEP_CELLS", amplitudes)
         split = run_experiment(plan)
         assert groups[:3] == [[11, 12, 13], [14, 15, 16], [17]]
 

@@ -217,6 +217,15 @@ def test_problem_sizes_must_be_integers(build, name, value):
         build(value)
 
 
+@pytest.mark.parametrize("n_vars, clause_count, name", [
+    (10, 2.5, "clause count"), (10, True, "clause count"), (10, "5", "clause count"),
+    (10.0, 5, "variable count"), (True, 5, "variable count"), ("10", 5, "variable count"),
+])
+def test_3sat_generator_sizes_must_be_integers(n_vars, clause_count, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        generate_uniform_3sat(n_vars, clause_count, RandomSource(0))
+
+
 def _weighted_3sat(n_vars: int, clause_count: int, seed: int) -> CnfFormula:
     rng = RandomSource(seed)
     formula = generate_uniform_3sat(n_vars, clause_count, rng)
