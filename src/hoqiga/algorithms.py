@@ -42,8 +42,9 @@ from .problems import FitnessFunction
 logger = logging.getLogger(__name__)
 
 BATCH_ROWS = 100  # most rows one problem.batch call scores, which bounds its temporaries
-# Most amplitudes (sga: bits) of one lockstep group, and most thresholds one observe step
-# compares (a larger row goes alone).
+# Most amplitudes (sga: bits) of one lockstep group, and most threshold comparisons of one
+# qiga observe step, counted over every run's whole (2**order - 1, registers) table (a step
+# compares at least one row).
 LOCKSTEP_CELLS = 1 << 16
 
 RotationTable = dict[tuple[int, int, bool], float]
@@ -265,56 +266,54 @@ class _PackedRegisters:
 
     One chromosome per run stands for its whole quantum population, which
     starts uniform and is contracted toward one best by one factor, so it
-    stays identical.  `blocks` holds one (shifts, bit_table, amplitudes) triple
-    per run of equal-order registers in chromosome_layout: the full-order
-    registers, then the shorter final register if the order does not divide
-    the gene count.  amplitudes has shape (runs, count, 2**order); shifts
-    order a register's bits high bit first, and bit_table row v holds value v's.
-    All operations are float-identical to the per-register public operations,
-    and each run's observation draws consume its own random stream exactly
-    like observe_chromosome.
+    stays identical.  `blocks` holds one (shifts, amplitudes) pair per run of
+    equal-order registers in chromosome_layout: the full-order registers, then
+    the shorter final register if the order does not divide the gene count.
+    amplitudes has shape (runs, count, 2**block_order), and shifts order a
+    register's bits high bit first.  Observation reads one value-major table,
+    `thresholds` of shape (runs, 2**order - 1, registers): register j's column
+    holds its cumulative probabilities but the last, and a short register's
+    unused entries stay +inf, which no draw in [0, 1) reaches.  All operations
+    are float-identical to the per-register public operations, and each run's
+    observation draws consume its own random stream exactly like observe_chromosome.
     """
 
     def __init__(self, n_bits: int, order: int, runs: int = 1):
         layout = chromosome_layout(n_bits, order)
-        self.registers_per_individual = len(layout)
+        shifts = np.arange(order - 1, -1, -1)  # high bit first; a shorter register takes the tail
         self.blocks = []
         for block_order in dict.fromkeys(layout):
             dim = 2**block_order
             amplitudes = np.full((runs, layout.count(block_order), dim), math.sqrt(1.0 / dim))
-            shifts = np.arange(block_order - 1, -1, -1)
-            bit_table = ((np.arange(dim)[:, None] >> shifts) & 1).astype(np.uint8)
-            self.blocks.append((shifts, bit_table, amplitudes))
-        self.chunk = max(1, LOCKSTEP_CELLS // sum(a.size for *_, a in self.blocks))
+            self.blocks.append((shifts[order - block_order :], amplitudes))
+        self.thresholds = np.full((runs, 2**order - 1, len(layout)), math.inf)
+        self.chunk = max(1, LOCKSTEP_CELLS // self.thresholds.size)
+        self.bit_table = ((np.arange(2**order)[:, None] >> shifts) & 1).astype(np.uint8)
+        # A short final register's value sets only its low bits, the last columns of its row.
+        self.columns = np.r_[: n_bits - layout[-1], -layout[-1] : 0] if layout[-1] < order else None
 
     def observe(self, k: int, rngs: list[RandomSource]) -> np.ndarray:
         """A (runs, k, n) array of samples; run s draws as k observe_chromosome calls on rngs[s]."""
-        runs = len(rngs)
-        draws = np.concatenate([rng.uniforms(k * self.registers_per_individual) for rng in rngs])
-        draws = draws.reshape(runs, k, -1)
-        parts = []
+        runs, top, registers = self.thresholds.shape  # top: the largest value, 2**order - 1
         first = 0
-        for _, bit_table, amplitudes in self.blocks:
+        for _, amplitudes in self.blocks:
             count, dim = amplitudes.shape[1:]
-            # Thresholds never decrease, so counting all but the last caps a value at dim - 1.
-            thresholds = np.cumsum(amplitudes**2, axis=2)[:, None, :, :-1]
-            block_draws, axis = draws[:, :, first : first + count, None], 3
-            if count >= dim:  # value-major: the longer register axis innermost
-                thresholds = np.ascontiguousarray(thresholds.swapaxes(2, 3))
-                block_draws, axis = block_draws.swapaxes(2, 3), 2
-            values = np.concatenate([
-                np.sum(thresholds <= block_draws[:, i : i + self.chunk], axis=axis,
-                       dtype=np.min_scalar_type(dim - 1))
-                for i in range(0, k, self.chunk)
-            ], axis=1)
-            parts.append(bit_table.take(values, axis=0).reshape(runs, k, -1))
+            # Thresholds never decrease, so leaving out the last caps a value at dim - 1.
+            np.cumsum(amplitudes[..., :-1] ** 2, axis=2,
+                      out=self.thresholds[:, : dim - 1, first : first + count].transpose(0, 2, 1))
             first += count
-        return np.concatenate(parts, axis=2)
+        draws = np.concatenate([rng.uniforms(k * registers) for rng in rngs]).reshape(runs, k, -1)
+        values = np.empty((runs, k, registers), dtype=np.min_scalar_type(top))
+        for i in range(0, k, self.chunk):
+            np.sum(self.thresholds[:, None] <= draws[:, i : i + self.chunk, None], axis=2,
+                   out=values[:, i : i + self.chunk])
+        bits = self.bit_table.take(values, axis=0).reshape(runs, k, -1)
+        return bits if self.columns is None else bits.take(self.columns, axis=2)
 
     def contract(self, best: np.ndarray, mu: float) -> None:
         """Contract run s's registers toward best[s], in place; best has shape (runs, n)."""
         pos = 0
-        for shifts, _, amplitudes in self.blocks:
+        for shifts, amplitudes in self.blocks:
             runs, count, _ = amplitudes.shape
             order = len(shifts)
             groups = best[:, pos : pos + count * order].reshape(runs, count, order) @ (1 << shifts)
@@ -431,9 +430,11 @@ def qiga1_lockstep(
     """
     n = _check_problem(problem, len(rngs))
     runs, pop = len(rngs), config.quantum_population_size
-    table = config.table_array()
-    cos_table, sin_table = np.cos(table).ravel(), np.sin(table).ravel()
+    angles = config.table_array().ravel()  # flat [x, b, cmp]
+    gates = np.stack([np.cos(angles), -np.sin(angles), np.sin(angles)])
     state = np.full((2, runs, pop, n), math.sqrt(0.5))
+    # Reused by every rotation: the flat index and the cos, -sin and sin planes it selects.
+    index, rotation = np.empty((runs, pop, n), dtype=np.intp), np.empty((3, runs, pop, n))
 
     def observe(k: int) -> np.ndarray:
         draws = np.concatenate([rng.uniforms(k * n) for rng in rngs]).reshape(runs, k, n)
@@ -442,10 +443,12 @@ def qiga1_lockstep(
     def rotate(bits: np.ndarray, fitness: np.ndarray, tracker: _BestTracker) -> None:
         # Only a full generation gets here, so every individual rotates.
         at_least_best = fitness >= tracker.best_fitness[:, None]
-        index = 4 * bits + 2 * tracker.best[:, None] + at_least_best[..., None]  # flat [x, b, cmp]
-        cos_d, sin_d = cos_table.take(index), sin_table.take(index)
-        alpha, beta = state
-        state[0], state[1] = cos_d * alpha - sin_d * beta, sin_d * alpha + cos_d * beta
+        np.add(4 * bits + 2 * tracker.best[:, None], at_least_best[..., None], out=index)
+        gates.take(index, axis=1, out=rotation, mode="clip")  # "raise" would buffer out
+        # In place, bit for bit: (alpha, beta) = (cos alpha - sin beta, sin alpha + cos beta).
+        rotation[1:] *= state[::-1]  # -sin * beta, sin * alpha
+        np.multiply(state, rotation[0], out=state)
+        np.add(state, rotation[1:], out=state)
         _clamp_poles(np.moveaxis(state, 0, -1), config.epsilon_guard)
 
     return _lockstep(lambda rows: np.array([problem(row) for row in rows]),
@@ -457,8 +460,8 @@ def _clamp_poles(state: np.ndarray, eps: float) -> None:
     big = math.sqrt(1.0 - eps * eps)
     for small, other in ((state[..., 0], state[..., 1]), (state[..., 1], state[..., 0])):
         near = np.abs(small) < eps
-        small[near] = np.copysign(eps, small[near])
-        other[near] = np.copysign(big, other[near])
+        np.copysign(eps, small, out=small, where=near)
+        np.copysign(big, other, out=other, where=near)
 
 
 def sga_evolve(
@@ -538,13 +541,15 @@ def single_point_crossover(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Swap the suffixes of two equal-shape parents at cut in [1, N-1].
 
-    Parents may be single bitstrings or stacked (k, N) rows with one cut each.
+    Parents may be single bitstrings or stacked (k, N) rows with one cut each; cut is an
+    int, or an integer-dtype array for stacked rows.
     """
     if np.shape(parent_a) != np.shape(parent_b):
         raise ValueError("parents must have equal length")
     n = np.shape(parent_a)[-1]
-    cut = np.asarray(cut)
+    if not (type(cut) is int or isinstance(cut, np.ndarray) and cut.dtype.kind in "iu"):
+        raise ValueError(f"cut must be an int or an integer array, got {cut!r}")
     if np.any(cut < 1) or np.any(cut > n - 1):
         raise ValueError(f"cut must be in [1, {n - 1}], got {cut}")
-    suffix = np.arange(n) >= cut[..., None]
+    suffix = np.arange(n) >= np.asarray(cut)[..., None]
     return np.where(suffix, parent_b, parent_a), np.where(suffix, parent_a, parent_b)

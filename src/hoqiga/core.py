@@ -202,17 +202,25 @@ def observe_register(reg: QuantumRegister, rng: RandomSource) -> int:
 
 def observe_register_many(reg: QuantumRegister, n: int, rng: RandomSource) -> np.ndarray:
     """n observations of one register; identical stream to n single observations."""
+    check_int("observation count", n, 0)
     return _scan_outcomes(reg.probabilities, rng.uniforms(n))
 
 
 def group_to_bits(value: int, order: int) -> BitString:
     """Big-endian bit expansion: the group's first gene is the high bit."""
+    check_order(order)
+    check_int("group value", value, 0)
+    if value >= 2**order:
+        raise ValueError(f"group value must be in [0, {2**order}), got {value!r}")
     shifts = np.arange(order - 1, -1, -1)
     return ((value >> shifts) & 1).astype(np.uint8)
 
 
 def bits_to_group(bits: BitString) -> int:
-    """Inverse of group_to_bits."""
+    """Inverse of group_to_bits: bits is a non-empty 1-D sequence of 0/1 values."""
+    array = np.asarray(bits)
+    if array.ndim != 1 or not array.size or not ((array == 0) | (array == 1)).all():
+        raise ValueError(f"bits must be a non-empty sequence of 0/1 values, got {bits!r}")
     value = 0
     for b in bits:
         value = (value << 1) | int(b)

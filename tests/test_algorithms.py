@@ -166,6 +166,23 @@ class TestContractionUpdate:
         expected_best = math.sqrt(1 - 3 * (0.5 * mu**t) ** 2)
         assert reg.amplitudes[2] == pytest.approx(expected_best, abs=1e-12)
 
+    @given(st.integers(min_value=1, max_value=4), st.sampled_from([0.5, 0.95, 0.9918, 0.999]),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_is_elitist_pbil_in_probability_space(self, order, mu, seed):
+        # p' = mu**2 * p + (1 - mu**2) * onehot(best): PBIL (Baluja, CMU-CS-94-163, 1994)
+        # toward the best value with learning rate 1 - mu**2, from a random register, over
+        # 600 steps whose best changes every 50.  Measured: at most 2.5 ulps of 1.0.
+        draws = np.random.default_rng(seed)
+        amplitudes = draws.normal(size=2**order)
+        reg = QuantumRegister(order, amplitudes / np.sqrt(np.sum(amplitudes**2)))
+        for step in range(600):
+            if step % 50 == 0:
+                best = int(draws.integers(2**order))
+            pbil = mu**2 * reg.probabilities + (1 - mu**2) * (np.arange(2**order) == best)
+            reg = contraction_update(reg, best, mu)
+            assert np.abs(reg.probabilities - pbil).max() <= 8 * np.finfo(np.float64).eps
+
     def test_rejects_bad_best_group(self):
         with pytest.raises(ValueError):
             contraction_update(register_uniform(2), 4, 0.99)
@@ -262,6 +279,11 @@ class TestQigaEvolve:
             # 203 leaves a ragged final generation of 3 samples from individuals 0 to 2.
             (pair_trap(4), QigaConfig(order=3, quantum_population_size=8,
                                       max_fitness_evaluations=203)),
+            # Order 1, and orders 4 and 5 ending on a 2-bit register: shapes where padding
+            # a register with zeros would change its sums.
+            (onemax(5), QigaConfig(order=1, quantum_population_size=4, max_fitness_evaluations=200)),
+            (onemax(10), QigaConfig(order=4, quantum_population_size=4, max_fitness_evaluations=200)),
+            (onemax(12), QigaConfig(order=5, quantum_population_size=4, max_fitness_evaluations=200)),
         ]
         for problem, config in cases:
             result = qiga_evolve(problem, config, RandomSource(31))
@@ -291,12 +313,12 @@ class TestQigaEvolve:
 
     @pytest.mark.parametrize("rows_per_step", [1, 3])
     def test_observe_steps_do_not_change_results(self, monkeypatch, rows_per_step):
-        # 12 bits in four order-3 registers: 32 thresholds compared per row,
+        # 12 bits in four order-3 registers: 28 thresholds compared per row,
         # so the default compares a whole generation of 8 rows in one step.
         problem = pair_trap(6)
         config = QigaConfig(order=3, quantum_population_size=8, max_fitness_evaluations=203)
         whole = qiga_evolve(problem, config, RandomSource(5))
-        monkeypatch.setattr(hoqiga.algorithms, "LOCKSTEP_CELLS", rows_per_step * 32)
+        monkeypatch.setattr(hoqiga.algorithms, "LOCKSTEP_CELLS", rows_per_step * 28)
         stepped = qiga_evolve(problem, config, RandomSource(5))
         assert np.array_equal(stepped.best_bits, whole.best_bits)
         assert stepped.trajectory.tobytes() == whole.trajectory.tobytes()
@@ -305,9 +327,9 @@ class TestQigaEvolve:
     @pytest.mark.parametrize("n, order", [(250, 1), (250, 2), (251, 2), (24, 6), (26, 6), (12, 8)])
     def test_packed_observe_matches_observe_chromosome(self, monkeypatch, n, order,
                                                        one_row_steps):
-        # Orders 1 and 2 on 250 or 251 genes compare value-major (at least as many
-        # registers as values); orders 6 and 8 compare register-major.  251 and 26
-        # genes add a ragged tail register; LOCKSTEP_CELLS 1 compares one row a step.
+        # Many short registers (orders 1 and 2) and few long ones (orders 6 and 8); 251
+        # and 26 genes add a short final register, whose unused thresholds are +inf.
+        # LOCKSTEP_CELLS 1 compares one row a step.
         if one_row_steps:
             monkeypatch.setattr(hoqiga.algorithms, "LOCKSTEP_CELLS", 1)
         runs, k = 3, 7
@@ -316,8 +338,8 @@ class TestQigaEvolve:
         for mu in (0.8, 0.6, 0.9):  # contract toward varied bests: uneven, non-uniform registers
             packed.contract(draws.integers(0, 2, size=(runs, n), dtype=np.uint8), mu)
         chromosomes = [
-            QuantumChromosome(n, tuple(QuantumRegister(bit_table.shape[1], amps)
-                                       for _, bit_table, amplitudes in packed.blocks
+            QuantumChromosome(n, tuple(QuantumRegister(len(shifts), amps)
+                                       for shifts, amplitudes in packed.blocks
                                        for amps in amplitudes[s]))
             for s in range(runs)
         ]
@@ -329,16 +351,35 @@ class TestQigaEvolve:
             expected = [observe_chromosome(chromosome, rng) for _ in range(k)]
             assert samples[s].tobytes() == np.array(expected).tobytes()
 
-    @pytest.mark.parametrize("n, order", [(250, 2), (24, 6)], ids=["value-major", "register-major"])
+    @pytest.mark.parametrize("n, order", [(250, 2), (24, 6), (26, 4)],
+                             ids=["order-2", "order-6", "order-4-short-register"])
     def test_packed_observe_counts_a_draw_equal_to_a_threshold(self, n, order):
         # Uniform registers have the exact thresholds j / 2**order, and a draw equal to
         # one of them counts it, as searchsorted(side="right") does in observe_chromosome.
+        # 26 genes end on an order-2 register, whose thresholds j / 4 the draws also hit.
         dim, k = 2**order, 3
-        draws = (np.arange(k * (n // order)) % dim) / dim
+        draws = (np.arange(k * -(-n // order)) % dim) / dim
         samples = _PackedRegisters(n, order).observe(k, [FixedDraws(draws)])
         source, chromosome = FixedDraws(draws), chromosome_uniform(n, order)
         expected = [observe_chromosome(chromosome, source) for _ in range(k)]
         assert samples[0].tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("t", [1, 10, 100, 300])
+    def test_packed_contraction_closed_form(self, t):
+        # From uniform, t contractions toward a fixed best b = (1, 0) scale every
+        # non-best probability by mu**(2t).  With q = mu**(2t) / 2, a pair of order-1
+        # registers comes out with exactly its first bit wrong with probability q(1 - q),
+        # and one order-2 register gives (not b1, b2) = 0b00 with probability q / 2; the
+        # ratio 1 / (2(1 - q)) of that single-bit repair tends to 1/2 (README).
+        mu, best = 0.9918, np.array([[1, 0]], dtype=np.uint8)
+        q = mu ** (2 * t) / 2
+        bit_pair, group = _PackedRegisters(2, 1), _PackedRegisters(2, 2)
+        for _ in range(t):
+            bit_pair.contract(best, mu)
+            group.contract(best, mu)
+        [(_, bits)], [(_, groups)] = bit_pair.blocks, group.blocks  # (runs, registers, values)
+        assert abs(bits[0, 0, 0] ** 2 * bits[0, 1, 0] ** 2 - q * (1 - q)) <= 1e-15
+        assert abs(groups[0, 0, 0b00] ** 2 - q / 2) <= 1e-15
 
     def test_scalar_only_problem_sees_samples_in_order(self):
         # A __call__-only problem is scored one row per sample, in the order
@@ -621,6 +662,14 @@ class TestSgaEvolve:
                 single_point_crossover(zeros, ones, np.array([2, bad]))
         with pytest.raises(ValueError, match="equal length"):
             single_point_crossover(zeros, np.ones((2, 5), dtype=np.uint8), np.array([1, 1]))
+
+    @pytest.mark.parametrize("cut", [2.5, True, np.int64(2), np.array([2.0, 1.0]),
+                                     np.array([True, True])],
+                             ids=["float", "bool", "numpy-int", "float-array", "bool-array"])
+    def test_crossover_rejects_a_non_integer_cut_by_name(self, cut):
+        zeros, ones = np.zeros((2, 4), dtype=np.uint8), np.ones((2, 4), dtype=np.uint8)
+        with pytest.raises(ValueError, match="cut must be an int or an integer array"):
+            single_point_crossover(zeros, ones, cut)
 
     @pytest.mark.parametrize(
         "source", ["onemax:48", "trap:12", "3sat:60:258:7", "onemax:2", "onemax:1"]

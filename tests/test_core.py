@@ -153,6 +153,16 @@ class TestObservation:
         _, p = scipy_stats.chisquare(observed, f_exp=n * reg.probabilities)
         assert p >= 0.001
 
+    @pytest.mark.parametrize("n, match", [
+        (2.5, "observation count must be an integer, got 2.5"),
+        (True, "observation count must be an integer, got True"),
+        (np.int64(3), "observation count must be an integer"),
+        (-1, "observation count must be >= 0, got -1"),
+    ])
+    def test_many_rejects_a_bad_count_by_name(self, n, match):
+        with pytest.raises(ValueError, match=match):
+            observe_register_many(register_uniform(2), n, RandomSource(0))
+
     @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=6))
     @settings(max_examples=30)
     def test_outcomes_in_range(self, seed, order):
@@ -219,6 +229,22 @@ class TestBitHelpers:
     def test_group_bits_round_trip(self, order, data):
         value = data.draw(st.integers(min_value=0, max_value=2**order - 1))
         assert bits_to_group(group_to_bits(value, order)) == value
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda: group_to_bits(5, 2), r"group value must be in \[0, 4\), got 5"),
+        (lambda: group_to_bits(-1, 2), "group value must be >= 0, got -1"),
+        (lambda: group_to_bits(True, 1), "group value must be an integer, got True"),
+        (lambda: group_to_bits(2.0, 2), "group value must be an integer, got 2.0"),
+        (lambda: group_to_bits(1, 0), "order must be >= 1, got 0"),
+        (lambda: group_to_bits(1, 2.0), "order must be an integer, got 2.0"),
+        (lambda: bits_to_group([1, 2]), "bits must be a non-empty sequence of 0/1 values"),
+        (lambda: bits_to_group([]), "bits must be a non-empty sequence of 0/1 values"),
+        (lambda: bits_to_group([[1, 0]]), "bits must be a non-empty sequence of 0/1 values"),
+    ], ids=["value-too-big", "value-negative", "value-bool", "value-float", "order-zero",
+            "order-float", "bit-2", "empty", "two-dimensional"])
+    def test_group_bits_reject_what_they_cannot_invert(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
 
     def test_string_round_trip(self):
         assert bits_to_string(bits_from_string("10011")) == "10011"
