@@ -13,13 +13,14 @@
   and per-bit mutation; sga_lockstep advances many seeds at once.
 
 All evolvers consume exactly the configured fitness-evaluation budget and
-record the best-so-far fitness at every evaluation, so runs with different
-generation sizes plot on a common axis.  The three lockstep engines share one
-generation loop, _lockstep: until the budget is spent it samples a generation
-of every run (the last one cut to the remaining budget), scores its rows, folds
-them into one _BestTracker per group in sample order (so results match sampling
-one bitstring at a time), and, while budget remains, updates the model.  Each
-engine supplies its generation size and only its two steps:
+record the best-so-far fitness as its steps: one (evaluation, value) pair per
+strict rise, expanded on demand to one value per evaluation, so runs with
+different generation sizes plot on a common axis.  The three lockstep engines
+share one generation loop, _lockstep: until the budget is spent it samples a
+generation of every run (the last one cut to the remaining budget), scores its
+rows, folds them into one _BestTracker per group in sample order (so results
+match sampling one bitstring at a time), and, while budget remains, updates
+the model.  Each engine supplies its generation size and only its two steps:
 qiga observes its registers, then contracts them toward the best; qiga1
 compares draws with its alpha plane, then rotates and clamps its qubits; sga
 hands over its population, then selects, crosses and mutates.  qiga and sga
@@ -154,24 +155,36 @@ class SgaConfig:
 
 @dataclass
 class RunResult:
-    """One evolver run: the best individual found and how it was reached."""
+    """One evolver run: the best individual found and how it was reached.
+
+    steps is the best-so-far fitness as a (2, m) float64 array of (evaluation, value)
+    columns: (0, -inf), one column per strict rise of the best at the 0-based evaluation
+    that reached it, then (evaluations, best_fitness).
+    """
 
     best_bits: BitString
     best_fitness: float
-    trajectory: np.ndarray
+    steps: np.ndarray
     evaluations: int
     generations: int
+
+    @property
+    def trajectory(self) -> np.ndarray:
+        """The best-so-far fitness after each evaluation, expanded from steps (read-only)."""
+        return np.repeat(self.steps[1, :-1], np.diff(self.steps[0]).astype(int))
 
 
 class _BestTracker:
     """Evaluation-budget bookkeeping of one lockstep group of runs, shared by every evolver.
 
     The runs share one evaluation and one generation count, since their generations are
-    equal in size.  Each run records its best-so-far fitness after each evaluation; ties
-    keep the earliest individual, so the trajectory is nondecreasing and the winner is
-    the first to reach the top fitness.  A NaN fitness never becomes best.  best_fitness
-    is a float64 (runs,) array and the best bits one (runs, n) uint8 array, allocated by
-    the first record; a run whose best fitness is still -inf has no best yet.
+    equal in size.  steps[s] lists run s's (evaluation, value) pairs: (0, -inf), then one
+    pair for each strict rise of its best-so-far fitness, at the 0-based evaluation of the
+    row that rose.  Ties keep the earliest individual, so the winner is the first to reach
+    the top fitness.  A NaN fitness never becomes best.  best_fitness is a float64 (runs,)
+    array and the best bits one (runs, n) uint8 array, allocated by the first record; a
+    run whose best fitness is still -inf has no best yet.  No state is sized by the budget:
+    a run's steps grow only with its rises.
     """
 
     def __init__(self, budget: int, runs: int):
@@ -180,7 +193,7 @@ class _BestTracker:
         self.generations = 0
         self.best_bits: np.ndarray | None = None
         self.best_fitness = np.full(runs, -math.inf)
-        self.trajectory = np.empty((runs, budget), dtype=np.float64)
+        self.steps = [[(0, -math.inf)] for _ in range(runs)]
 
     @property
     def remaining(self) -> int:
@@ -196,29 +209,26 @@ class _BestTracker:
     def record(self, bits: np.ndarray, fitness) -> None:
         """Fold run s's rows bits[s], scored fitness[s], in order; only a fitter row is best.
 
-        Only runs with a score above their best (np.fmax skips NaN) are folded row by row.
+        Only runs with a score above their best (np.fmax skips NaN) are folded row by row,
+        and each strict rise appends one step.
         """
         fitness = np.asarray(fitness, dtype=np.float64)
         if self.best_bits is None:
             self.best_bits = np.zeros((len(self.best_fitness), bits.shape[-1]), dtype=np.uint8)
-        window = self.trajectory[:, self.count : self.count + fitness.shape[1]]
-        window[:] = self.best_fitness[:, None]
         for s in (np.fmax.reduce(fitness, axis=1) > self.best_fitness).nonzero()[0].tolist():
-            best, best_row, run_best = float(self.best_fitness[s]), None, []
+            best, best_row = float(self.best_fitness[s]), None
             for row, value in enumerate(fitness[s].tolist()):
                 if value > best:
                     best, best_row = value, row
-                run_best.append(best)
-            window[s] = run_best
+                    self.steps[s].append((self.count + row, value))
             self.best_bits[s], self.best_fitness[s] = bits[s, best_row], best
         self.count += fitness.shape[1]
         self.generations += 1
 
     def results(self) -> list[RunResult]:
-        return [RunResult(best_bits=bits, best_fitness=fitness, trajectory=trajectory[: self.count],
-                          evaluations=self.count, generations=self.generations)
-                for bits, fitness, trajectory in zip(self.best, self.best_fitness.tolist(),
-                                                     self.trajectory)]
+        return [RunResult(bits, fitness, np.array([*steps, (self.count, fitness)]).T, self.count,
+                          self.generations)
+                for bits, fitness, steps in zip(self.best, self.best_fitness.tolist(), self.steps)]
 
 
 def contraction_update(reg: QuantumRegister, best_group: int, mu: float) -> QuantumRegister:

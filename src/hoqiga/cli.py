@@ -187,6 +187,7 @@ def _cmd_gen(args) -> int:
     try:
         if args.clauses is None:
             check_real("--ratio", args.ratio)
+            check_real("clause count from --ratio", args.ratio * args.vars)
         clause_count = args.clauses if args.clauses is not None else round(args.ratio * args.vars)
         formula = generate_uniform_3sat(args.vars, clause_count, RandomSource(args.seed))
     except ValueError as exc:

@@ -197,12 +197,14 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
 
 @dataclass
 class RunRecord:
-    """One run inside a cell."""
+    """One run inside a cell; steps and trajectory are RunResult's."""
 
     seed: int
     best_fitness: float
     best_bits: str
-    trajectory: np.ndarray
+    steps: np.ndarray
+
+    trajectory = RunResult.trajectory
 
 
 @dataclass
@@ -296,7 +298,7 @@ def _execute_chunk(task: tuple[AlgorithmSpec, FitnessFunction, range, int]) -> l
         size = lockstep_group_size(config, problem.size)
         for first in range(0, len(seeds), size):
             group = seeds[first : first + size]
-            records += [RunRecord(seed, r.best_fitness, bits_to_string(r.best_bits), r.trajectory)
+            records += [RunRecord(seed, r.best_fitness, bits_to_string(r.best_bits), r.steps)
                         for seed, r in zip(group, algo.run_group(problem, group, config))]
     except Exception as exc:  # isolated to its cell; bench reports it and exits 3
         span = f"seed {group[0]}" if len(group) == 1 else f"seeds {group[0]}-{group[-1]}"

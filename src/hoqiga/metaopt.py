@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import check_order
+from .core import check_order, check_real
 from .harness import (AlgorithmSpec, ExperimentPlan, ProblemSpec, read_plan_document,
                       run_experiment, write_csv)
 
@@ -34,7 +34,10 @@ class TuningSpec:
     jobs: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "grid", tuple(float(g) for g in self.grid))
+        grid = tuple(self.grid)
+        for value in grid:  # before float(), which takes "0.5" and turns True into 1.0
+            check_real("grid value", value)
+        object.__setattr__(self, "grid", tuple(float(g) for g in grid))
         object.__setattr__(self, "problems", tuple(self.problems))
         if not self.grid:
             raise ValueError("tuning grid must be non-empty")

@@ -825,15 +825,19 @@ class TestBestTracker:
             start = stop
         assert tracker.count == k
 
-        best_rows = []
+        best_rows, trajectories = [], []
         for s, run_values in enumerate(values):
-            best, best_row, trajectory = -math.inf, None, []
+            best, best_row, rises, trajectory = -math.inf, None, [], []
             for row, value in enumerate(run_values):
                 if value > best:
                     best, best_row = value, row
+                    rises.append((row, value))
                 trajectory.append(best)
-            expected = np.array(trajectory, dtype=np.float64)
-            assert tracker.trajectory[s].tobytes() == expected.tobytes()
+            # The tracker's steps: (0, -inf), then the fold's rises, each rising strictly.
+            pairs = np.array(tracker.steps[s], dtype=np.float64)
+            assert pairs.tobytes() == np.array([(0, -math.inf), *rises]).tobytes()
+            assert (np.diff(pairs[1:], axis=0) > 0).all()
+            trajectories.append(np.array(trajectory, dtype=np.float64))
             best_rows.append(best_row)
             if best_row is not None:
                 assert tracker.best_bits[s].tolist() == [best_row, s]
@@ -843,6 +847,12 @@ class TestBestTracker:
                 tracker.best
         else:
             assert tracker.best.tolist() == [[row, s] for s, row in enumerate(best_rows)]
+            for result, pairs, trajectory in zip(tracker.results(), tracker.steps, trajectories):
+                assert result.steps.shape == (2, len(pairs) + 1)
+                assert result.steps[:, :-1].T.tobytes() == np.array(pairs).tobytes()
+                end = np.array([k, result.best_fitness])
+                assert result.steps[:, -1].tobytes() == end.tobytes()
+                assert result.trajectory.tobytes() == trajectory.tobytes()
 
     @pytest.mark.parametrize("value", [math.nan, -math.inf])
     @pytest.mark.parametrize(

@@ -254,6 +254,7 @@ class TestGenCommand:
             (("--vars", "10", "--ratio", "-1"), "clause count must be >= 1"),
             (("--vars", "10", "--ratio", "nan"), "--ratio must be a finite real number, got nan"),
             (("--vars", "10", "--ratio", "inf"), "--ratio must be a finite real number, got inf"),
+            (("--vars", "5", "--ratio", "1e308"), "clause count from --ratio must be a finite"),
             (("--vars", "10", "--clauses", "5", "--seed", "-1"), "seed must be"),
         ],
     )
@@ -613,18 +614,25 @@ class TestMetaCommand:
 
 
 def test_demo_plan_and_meta_grid_keep_their_bytes(capsys, tmp_path):
-    # sha256 digests of the demo plan's CSVs and of one meta grid; a change that keeps
-    # results must keep them.  Any two commits can be compared by this test alone.
+    # sha256 digests of the demo plan's CSVs and convergence SVGs and of one meta grid; a
+    # change that keeps results must keep them.  Any two commits can be compared by this
+    # test alone.
     plan = Path(__file__).resolve().parents[1] / "plans" / "demo.json"
     assert invoke(capsys, "bench", "--plan", str(plan), "--jobs", "2",
                   "--outdir", str(tmp_path / "demo"))[0] == 0
     assert invoke(capsys, "meta", "--grid", "0.5,0.9,0.99", "--problems", "trap:24,onemax:48",
                   "--runs", "20", "--out", str(tmp_path / "meta.csv"))[0] == 0
     digests = {path: hashlib.sha256((tmp_path / path).read_bytes()).hexdigest()
-               for path in ("demo/runs.csv", "demo/aggregate.csv", "meta.csv")}
+               for path in ("demo/runs.csv", "demo/aggregate.csv", "demo/sat48.svg",
+                            "demo/sat100.svg", "demo/trap24.svg", "demo/onemax48.svg",
+                            "meta.csv")}
     assert digests == {
         "demo/runs.csv": "ae83f300e4cecefbe1d98fd6a2bcff79251c134fb12cd52a2b678e95bd6f5bfd",
         "demo/aggregate.csv": "23afed11ec580a63f6d66fb41be4402d49901158400b4f685d8ca987c4988268",
+        "demo/sat48.svg": "03397b1fd8e6c2168c1e6c9e8ad28c7d29227ed5a23b6657c8e0c2864c2aba1d",
+        "demo/sat100.svg": "6cf3d1d0ed739800927d6392ea1f969d0c7e413bfca9d78b2bf82f0da489a58e",
+        "demo/trap24.svg": "a8008044d415edff54fe7f91773c6518639218bc98ddc74722479a24caaade7c",
+        "demo/onemax48.svg": "7a6e60b92c5ec39dc6fa3301aec55612af5fd4073d57f9dc79f7cb632d1f96b9",
         "meta.csv": "6a22c45e32561f009af5ec0854e46638310d80ec1b20f8189463e2c119fd6b9d",
     }
 

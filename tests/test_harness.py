@@ -3,6 +3,7 @@
 import csv
 import json
 import logging
+import pickle
 import re
 import warnings
 from pathlib import Path
@@ -81,6 +82,13 @@ def small_plan(**overrides):
     return ExperimentPlan(**defaults)
 
 
+def dense_steps(trajectory) -> np.ndarray:
+    """The (2, m) steps whose expansion is the given dense trajectory."""
+    values = np.asarray(trajectory, dtype=np.float64)
+    changes = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
+    return np.array([np.r_[0, changes, len(values)], np.r_[-np.inf, values[changes], values[-1]]])
+
+
 def synthetic_result(means_by_cell, runs_per_cell=2, length=5):
     """Handmade ExperimentResult for ranking/export unit tests."""
     plan = ExperimentPlan(
@@ -100,7 +108,7 @@ def synthetic_result(means_by_cell, runs_per_cell=2, length=5):
                 seed=s,
                 best_fitness=mean,
                 best_bits="0000",
-                trajectory=np.full(length, mean),
+                steps=dense_steps(np.full(length, mean)),
             )
             for s in range(runs_per_cell)
         ]
@@ -306,6 +314,15 @@ class TestRunExperiment:
             for record in cell.runs:
                 assert len(record.trajectory) == 100
 
+    def test_run_record_pickles_its_steps_not_one_value_per_evaluation(self):
+        # A 5000-evaluation run rises a few dozen times at most, so its record stays small.
+        plan = small_plan(problems=(ProblemSpec("om48", "onemax:48"),),
+                          algorithms=(AlgorithmSpec("qiga2"),), runs_per_cell=1,
+                          max_fitness_evaluations=5000)
+        record = run_experiment(plan).cells[0].runs[0]
+        assert len(record.trajectory) == 5000
+        assert len(pickle.dumps(record)) < 4096
+
     def test_trajectory_endpoint_equals_best(self):
         result = run_experiment(small_plan())
         for cell in result.cells:
@@ -363,7 +380,7 @@ class TestRanking:
         result.cells.append(
             CellResult(
                 problem="p2", algorithm="b", problem_size=4,
-                runs=[RunRecord(0, 9.0, "0000", np.full(5, 9.0))],
+                runs=[RunRecord(0, 9.0, "0000", dense_steps(np.full(5, 9.0)))],
             )
         )
         ranking = rank_algorithms(result)
@@ -423,9 +440,10 @@ class TestExports:
         # -inf and an inf score is NaN.  Neither reaches the axes or a polyline.
         result = synthetic_result({("p", "a"): 1.0, ("p", "b"): 2.0})
         a, b = result.cells
-        a.runs[0].trajectory = np.array([-np.inf, -np.inf, 2.0, 3.0, 3.0])
-        b.runs[0].trajectory = np.array([np.inf, -np.inf, 1.0, 1.0, 4.0])
-        b.runs[1].trajectory = np.array([-np.inf, 0.5, 1.0, 1.0, 4.0])
+        a.runs[0].steps = dense_steps([-np.inf, -np.inf, 2.0, 3.0, 3.0])
+        b.runs[0].steps = dense_steps([np.inf, -np.inf, 1.0, 1.0, 4.0])
+        b.runs[1].steps = dense_steps([-np.inf, 0.5, 1.0, 1.0, 4.0])
+        assert b.runs[0].trajectory.tolist() == [np.inf, -np.inf, 1.0, 1.0, 4.0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # inf + -inf in the mean warns nothing
             text = export_convergence_svg(result, "p", tmp_path / "p.svg").read_text()

@@ -88,6 +88,22 @@ class TestTuningSpec:
             tune(TuningSpec(grid=(0.5,), problems=(ProblemSpec("om6", "onemax:6"),), **overrides))
         assert calls == []
 
+    @pytest.mark.parametrize("grid, shown", [
+        (("0.5", "0.9"), "'0.5'"),  # float() would have turned these into numbers
+        ((True,), "True"),  # and this bool into 1.0
+        ((0.5, None), "None"),
+        ((float("nan"),), "nan"),
+    ])
+    def test_rejects_a_grid_value_that_is_not_a_finite_real(self, grid, shown):
+        message = f"grid value must be a finite real number, got {shown}"
+        with pytest.raises(ValueError, match=message):
+            quick_spec(grid)
+
+    def test_from_json_rejects_string_grid_values(self):
+        doc = {"grid": ["0.5", "0.9"], "problems": [{"name": "t2", "source": "trap:2"}]}
+        with pytest.raises(ValueError, match="grid value must be a finite real number, got '0.5'"):
+            TuningSpec.from_json(json.dumps(doc))
+
     def test_from_json(self):
         doc = {
             "grid": [0.5, 0.9],
