@@ -55,12 +55,11 @@ from .harness import (
 )
 from .metaopt import TuningResult, TuningSpec, export_tuning_csv, tune
 from .problems import (
+    BlockTable,
     CnfFormula,
     DimacsParseError,
     FitnessFunction,
     MaxSat,
-    OneMax,
-    PairTrap,
     generate_uniform_3sat,
     load_problem,
     maxsat_fitness,

@@ -1,4 +1,5 @@
-"""Fitness backends: DIMACS (W)CNF MAX-SAT plus synthetic test landscapes."""
+"""Fitness backends: DIMACS (W)CNF MAX-SAT plus synthetic test landscapes,
+onemax and the pair trap, each one table of the block-table landscape."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from typing import IO
 
 import numpy as np
 
-from .core import BitString, RandomSource, check_int
+from .core import BitString, RandomSource, check_int, check_real
 
 
 def _check_weight(weight: float) -> None:
@@ -256,58 +257,54 @@ def maxsat_fitness(formula: CnfFormula, bits: BitString) -> float:
     return MaxSat(formula)(bits)
 
 
-class OneMax(FitnessFunction):
-    """Count of 1-bits; separable, optimum is the all-ones string."""
+class BlockTable(FitnessFunction):
+    """Sum of table[ones in the block] over blocks of k = len(table) - 1 consecutive genes.
 
-    def __init__(self, n: int):
-        super().__init__(size=n, optimum=float(n), name=f"onemax-{n}")
+    Blocks score independently, so the optimum is blocks * max(table).  Each
+    block's value is one float, summed in block order.  Rows must be 0/1 and
+    are not checked: a block that sums above k raises IndexError.
+    """
+
+    def __init__(self, blocks: int, table, name: str = ""):
+        check_int("block count", blocks, 1)
+        self.table = np.array(table, dtype=np.float64)
+        self.block_size = len(self.table) - 1
+        super().__init__(blocks * self.block_size, blocks * max(table), name)
 
     def batch(self, bits: np.ndarray) -> np.ndarray:
-        return np.add.reduce(self._rows(bits), axis=-1, dtype=np.float64)
+        bits, k = self._rows(bits), self.block_size
+        # Count in intp (bool + bool is or); strided slices beat a sum over a short axis.
+        ones = bits[..., ::k].astype(np.intp)
+        for j in range(1, k):
+            ones += bits[..., j::k]
+        return np.add.reduce(self.table.take(ones), axis=-1)
 
 
-class PairTrap(FitnessFunction):
+def onemax(n: int) -> BlockTable:
+    """Count of 1-bits; separable, optimum is the all-ones string."""
+    check_int("problem size", n, 1)
+    return BlockTable(n, (0.0, 1.0), f"onemax-{n}")
+
+
+def pair_trap(pairs: int, optimum_value: float = 1.0, attractor_value: float = 0.9,
+              mixed_value: float = 0.0) -> BlockTable:
     """Deceptive adjacent-pair trap.
 
     Each gene pair scores optimum_value for 00, attractor_value for 11 and
     mixed_value for 01/10, so single-bit moves away from 00 are punished and
     the all-ones string is a strong but strictly suboptimal attractor.
-    Requires optimum_value > attractor_value > mixed_value.
+    Requires finite reals with optimum_value > attractor_value > mixed_value.
     """
-
-    def __init__(
-        self,
-        pairs: int,
-        optimum_value: float = 1.0,
-        attractor_value: float = 0.9,
-        mixed_value: float = 0.0,
-    ):
-        check_int("pair count", pairs, 1)
-        if not optimum_value > attractor_value > mixed_value:
-            raise ValueError(
-                "trap needs optimum_value > attractor_value > mixed_value, got "
-                f"{optimum_value}, {attractor_value}, {mixed_value}"
-            )
-        super().__init__(
-            size=2 * pairs, optimum=pairs * optimum_value, name=f"pairtrap-{pairs}"
+    check_int("pair count", pairs, 1)
+    check_real("optimum_value", optimum_value)
+    check_real("attractor_value", attractor_value)
+    check_real("mixed_value", mixed_value)
+    if not optimum_value > attractor_value > mixed_value:
+        raise ValueError(
+            "trap needs optimum_value > attractor_value > mixed_value, got "
+            f"{optimum_value}, {attractor_value}, {mixed_value}"
         )
-        self.pairs = pairs
-        # Indexed by pair value 00, 01, 10, 11.
-        self.pair_scores = np.array([optimum_value, mixed_value, mixed_value, attractor_value])
-
-    def batch(self, bits: np.ndarray) -> np.ndarray:
-        bits = self._rows(bits)
-        pairs = bits.reshape(*bits.shape[:-1], self.pairs, 2)
-        groups = 2 * pairs[..., 0] + pairs[..., 1]
-        return np.add.reduce(self.pair_scores.take(groups), axis=-1)
-
-
-def onemax(n: int) -> FitnessFunction:
-    return OneMax(n)
-
-
-def pair_trap(pairs: int, **trap_values: float) -> FitnessFunction:
-    return PairTrap(pairs, **trap_values)
+    return BlockTable(pairs, (optimum_value, mixed_value, attractor_value), f"pairtrap-{pairs}")
 
 
 def generate_uniform_3sat(n_vars: int, clause_count: int, rng: RandomSource) -> CnfFormula:
@@ -324,21 +321,29 @@ def generate_uniform_3sat(n_vars: int, clause_count: int, rng: RandomSource) -> 
     return CnfFormula(n_vars, tuple(clauses))
 
 
+def _spec_int(text: str) -> int:
+    """An integer field of a problem spec: plain ASCII decimal digits, nothing else."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"expected a decimal integer, got {text!r}")
+    return int(text)
+
+
 def load_problem(source: str, name: str = "") -> FitnessFunction:
     """Resolve a problem reference to a fitness function.
 
-    Synthetic specs: "onemax:N", "trap:PAIRS" and "3sat:VARS:CLAUSES:SEED"
-    (generated on the fly, deterministic in SEED).  Anything else is read as
-    a DIMACS CNF/WCNF file path.
+    Synthetic specs: "onemax:N", "trap:PAIRS" (pair_trap's default values)
+    and "3sat:VARS:CLAUSES:SEED" (generated on the fly, deterministic in
+    SEED), each integer field in plain ASCII digits.  Anything else is read
+    as a DIMACS CNF/WCNF file path.  Failures raise "cannot load problem ...".
     """
     kind, _, rest = source.partition(":")
     try:
         if kind == "onemax":
-            problem = OneMax(int(rest))
+            problem = onemax(_spec_int(rest))
         elif kind == "trap":
-            problem = PairTrap(int(rest))
+            problem = pair_trap(_spec_int(rest))
         elif kind == "3sat":
-            n_vars, clause_count, seed = (int(p) for p in rest.split(":"))
+            n_vars, clause_count, seed = (_spec_int(p) for p in rest.split(":"))
             formula = generate_uniform_3sat(n_vars, clause_count, RandomSource(seed))
             problem = MaxSat(formula, name=f"3sat-{n_vars}v{clause_count}c-s{seed}")
         else:

@@ -24,3 +24,15 @@ def all_assignments(n: int):
     """Every length-n bitstring, most significant bit first."""
     for value in range(2**n):
         yield np.array([(value >> (n - 1 - i)) & 1 for i in range(n)], dtype=np.uint8)
+
+
+def onemax_reference(bits) -> np.ndarray:
+    """OneMax as first written: the float64 sum of the bits."""
+    return np.add.reduce(bits, axis=-1, dtype=np.float64)
+
+
+def pair_trap_reference(bits, optimum=1.0, attractor=0.9, mixed=0.0) -> np.ndarray:
+    """The pair trap as first written: pair 2a + b scores (optimum, mixed, mixed, attractor)."""
+    scores = np.array([optimum, mixed, mixed, attractor])
+    pairs = bits.reshape(*bits.shape[:-1], bits.shape[-1] // 2, 2)
+    return np.add.reduce(scores.take(2 * pairs[..., 0] + pairs[..., 1]), axis=-1)

@@ -98,6 +98,13 @@ class TestRunCommand:
         assert code == 2
         assert "cannot load" in err
 
+    def test_lax_integer_in_problem_spec_is_runtime_error(self, capsys):
+        code, out, err = invoke(
+            capsys, "run", "--algo", "qiga2", "--problem", "onemax:4_0", "--maxfe", "20"
+        )
+        assert code == 2 and out == ""
+        assert "cannot load problem 'onemax:4_0': expected a decimal integer" in err
+
     @pytest.mark.parametrize(
         "argv",
         [

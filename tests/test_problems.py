@@ -1,19 +1,21 @@
 """DIMACS parsing, MAX-SAT fitness and synthetic-problem tests."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import all_assignments, brute_force_satisfied
+from oracles import all_assignments, brute_force_satisfied, onemax_reference, pair_trap_reference
 
 from hoqiga.core import RandomSource, bits_from_string
 from hoqiga.problems import (
+    BlockTable,
     CnfFormula,
     DimacsParseError,
     FitnessFunction,
     MaxSat,
-    OneMax,
     generate_uniform_3sat,
     load_problem,
     maxsat_fitness,
@@ -197,14 +199,62 @@ class TestSyntheticProblems:
         assert problem(bits_from_string("1111")) == 2.0
         assert problem(bits_from_string("0100")) == 2.5
 
-    def test_pair_trap_rejects_non_deceptive_values(self):
-        with pytest.raises(ValueError):
-            pair_trap(2, optimum_value=0.5, attractor_value=0.9)
+    @pytest.mark.parametrize("values, message", [
+        ({"optimum_value": 0.5, "attractor_value": 0.9}, "^trap needs optimum_value > "),
+        ({"optimum_value": float("inf")}, "^optimum_value must be a finite real number, got inf"),
+        ({"optimum_value": True, "attractor_value": 0.5}, "^optimum_value must be a finite "),
+        ({"optimum_value": "2"}, "^optimum_value must be a finite real number, got '2'"),
+        ({"attractor_value": float("nan")}, "^attractor_value must be a finite real number"),
+        ({"mixed_value": -float("inf")}, "^mixed_value must be a finite real number"),
+        ({"mixed_value": None}, "^mixed_value must be a finite real number, got None"),
+    ], ids=["order", "inf", "bool", "str", "nan", "-inf", "none"])
+    def test_pair_trap_rejects_non_deceptive_values(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            pair_trap(2, **values)
 
     def test_batch_matches_single(self):
         problem = pair_trap(4)
         rows = np.array([RandomSource(i).bits(8) for i in range(30)])
         assert np.array_equal(problem.batch(rows), [problem(r) for r in rows])
+
+    def test_both_landscapes_are_block_tables(self):
+        assert isinstance(onemax(3), BlockTable) and isinstance(pair_trap(3), BlockTable)
+        assert isinstance(load_problem("onemax:3"), BlockTable)
+        assert isinstance(load_problem("trap:3"), BlockTable)
+
+    def test_block_table_scores_each_block_by_its_ones(self):
+        trap3 = BlockTable(2, (2.0, 1.0, 0.0, 3.0))  # Goldberg's trap-3
+        assert trap3.size == 6 and trap3.optimum == 6.0
+        assert trap3(bits_from_string("111000")) == 5.0
+        assert trap3(bits_from_string("010101")) == 1.0
+        assert trap3(bits_from_string("110000")) == 2.0
+
+    def test_rows_must_be_zero_or_one(self):
+        with pytest.raises(IndexError):
+            onemax(3)(np.array([0, 2, 1]))
+
+
+LANDSCAPES = (
+    [(f"onemax{n}", lambda n=n: onemax(n), onemax_reference) for n in range(1, 14)]
+    + [(f"trap{p}", lambda p=p: pair_trap(p), pair_trap_reference) for p in range(1, 10)]
+    + [("trap3custom",
+        lambda: pair_trap(3, optimum_value=2.0, attractor_value=1.0, mixed_value=0.5),
+        lambda bits: pair_trap_reference(bits, optimum=2.0, attractor=1.0, mixed=0.5))]
+)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.bool_, np.int64])
+@pytest.mark.parametrize("shape", [(), (3, 4), (0,)])
+@pytest.mark.parametrize("build, reference", [case[1:] for case in LANDSCAPES],
+                         ids=[case[0] for case in LANDSCAPES])
+def test_landscapes_keep_the_first_formulas_bytes(build, reference, shape, dtype):
+    problem = build()
+    bits = np.random.default_rng(problem.size).integers(0, 2, size=shape + (problem.size,))
+    bits = bits.astype(dtype)
+    values, expected = np.asarray(problem.batch(bits)), np.asarray(reference(bits))
+    assert values.shape == expected.shape == shape
+    assert values.dtype == expected.dtype == np.float64
+    assert values.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("build, name", [
@@ -244,8 +294,9 @@ def _edge_weights(seed: int) -> tuple[float, ...]:
 
 
 BATCH_PROBLEMS = {
-    "onemax13": lambda: OneMax(13),
+    "onemax13": lambda: onemax(13),
     "trap4": lambda: pair_trap(4),
+    "trap3custom": lambda: pair_trap(3, optimum_value=2.0, attractor_value=1.0, mixed_value=0.5),
     "trap9": lambda: pair_trap(9),
     "cnf12": lambda: MaxSat(generate_uniform_3sat(12, 50, RandomSource(8))),
     "cnf50": lambda: MaxSat(generate_uniform_3sat(50, 215, RandomSource(2))),
@@ -345,6 +396,10 @@ class TestLoadProblem:
     def test_synthetic_specs(self):
         assert load_problem("onemax:12").size == 12
         assert load_problem("trap:5").size == 10
+        onemax48, trap24 = load_problem("onemax:48"), load_problem("trap:24")
+        assert (onemax48.name, onemax48.size, onemax48.optimum) == ("onemax-48", 48, 48.0)
+        assert (trap24.name, trap24.size, trap24.optimum) == ("pairtrap-24", 48, 24.0)
+        assert type(onemax48.optimum) is float and type(trap24.optimum) is float
         sat = load_problem("3sat:10:40:3")
         assert sat.size == 10
 
@@ -366,3 +421,13 @@ class TestLoadProblem:
     def test_bad_spec(self):
         with pytest.raises(ValueError):
             load_problem("onemax:zero")
+
+    @pytest.mark.parametrize("spec", [
+        "onemax:4_0", "onemax:+3", "onemax: 3", "onemax:3 ", "onemax:\u0663", "onemax:",
+        "trap: 3", "trap:+3", "trap:-3", "trap:1_2", "trap:\uff13",
+        "3sat:1_0:4_3:1", "3sat:10:+40:3", "3sat:10:40:-3", "3sat:10:40: 3",
+    ])
+    def test_integer_fields_are_plain_ascii_digits(self, spec):
+        prefix = re.escape(f"cannot load problem {spec!r}: expected a decimal integer, got ")
+        with pytest.raises(ValueError, match=f"^{prefix}"):
+            load_problem(spec)
