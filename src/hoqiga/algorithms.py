@@ -7,7 +7,7 @@
   stays identical, so qiga keeps one chromosome and quantum_population_size
   is its generation size; qiga_lockstep advances many seeds at once.
 * qiga1_evolve: the classic order-1 baseline with per-qubit rotation gates
-  driven by a lookup table; each quantum individual keeps its own state, and
+  driven by a table of 8 angles; each quantum individual keeps its own state, and
   qiga1_lockstep advances many seeds at once on one alpha and one beta plane.
 * sga_evolve: generational GA with roulette selection, single-point crossover
   and per-bit mutation; sga_lockstep advances many seeds at once.
@@ -48,27 +48,18 @@ BATCH_ROWS = 100  # most rows one problem.batch call scores, which bounds its te
 # compares at least one row).
 LOCKSTEP_CELLS = 1 << 16
 
-RotationTable = dict[tuple[int, int, bool], float]
-
-
-def default_rotation_table(angle: float = 0.01 * math.pi) -> RotationTable:
-    """Rotate toward the best individual's bit only where there is a direction.
+def default_rotation_table(angle: float = 0.01 * math.pi) -> tuple[float, ...]:
+    """The 8 angles of qiga1's table; entry 4x + 2b + c is the rotation for observed
+    bit x, best bit b, and c = 1 when the observed individual is at least as fit.
 
     No move when the observed bit already agrees with the best individual's,
     or when the observed individual is at least as fit (nothing better to
-    steer toward).  Positive angles move probability toward bit value 1.
+    steer toward).  Positive angles move probability toward bit value 1, so
+    default_rotation_table(a) == (0, 0, a, 0, -a, 0, 0, 0).
     """
     check_real("angle", angle)
-    table: RotationTable = {}
-    for x in (0, 1):
-        for b in (0, 1):
-            for at_least_best in (False, True):
-                if x == b or at_least_best:
-                    delta = 0.0
-                else:
-                    delta = angle if b == 1 else -angle
-                table[(x, b, at_least_best)] = delta
-    return table
+    return tuple(0.0 if x == b or c else (angle if b else -angle)
+                 for x in (0, 1) for b in (0, 1) for c in (0, 1))
 
 
 def _check_budget(quantum_population_size, max_fitness_evaluations) -> None:
@@ -99,37 +90,31 @@ class QigaConfig:
 
 @dataclass(frozen=True)
 class Qiga1Config:
-    """Knobs of the rotation-gate order-1 baseline."""
+    """Knobs of the rotation-gate order-1 baseline.
 
-    # A mapping or ((x, b, cmp), angle) pairs, such as default_rotation_table(); stored sorted.
-    rotation_table: tuple[tuple[tuple[int, int, bool], float], ...] = tuple(
-        sorted(default_rotation_table().items())
-    )
+    rotation_table holds 8 angles, each |angle| < pi/2, in the order the engine reads
+    them: entry 4x + 2b + c for observed bit x, best bit b and c = observed-at-least-best,
+    as default_rotation_table() builds it; any sequence of 8 is stored as a tuple.
+    """
+
+    rotation_table: tuple[float, ...] = default_rotation_table()
     epsilon_guard: float = 0.01
     quantum_population_size: int = 10
     max_fitness_evaluations: int = 5000
 
     def __post_init__(self):
-        table = dict(self.rotation_table)
-        expected = {(x, b, c) for x in (0, 1) for b in (0, 1) for c in (False, True)}
-        if set(table) != expected:
-            raise ValueError("rotation table must define all 8 (x, b, comparison) entries")
-        for angle in table.values():
+        table = tuple(self.rotation_table)
+        if len(table) != 8:
+            raise ValueError(f"rotation table must hold 8 angles, got {len(table)}")
+        for angle in table:
             check_real("rotation angle", angle)
             if abs(angle) >= math.pi / 2:
                 raise ValueError("rotation angles must satisfy |angle| < pi/2")
-        object.__setattr__(self, "rotation_table", tuple(sorted(table.items())))
+        object.__setattr__(self, "rotation_table", table)
         check_real("epsilon_guard", self.epsilon_guard)
         if not 0.0 <= self.epsilon_guard < 0.3:
             raise ValueError(f"epsilon guard must be in [0, 0.3), got {self.epsilon_guard}")
         _check_budget(self.quantum_population_size, self.max_fitness_evaluations)
-
-    def table_array(self) -> np.ndarray:
-        """Angles as a (2, 2, 2) array indexed [x, b, comparison]."""
-        arr = np.zeros((2, 2, 2))
-        for (x, b, cmp_), delta in self.rotation_table:
-            arr[x, b, int(cmp_)] = delta
-        return arr
 
 
 @dataclass(frozen=True)
@@ -309,8 +294,9 @@ class _PackedRegisters:
         for _, amplitudes in self.blocks:
             count, dim = amplitudes.shape[1:]
             # Thresholds never decrease, so leaving out the last caps a value at dim - 1.
-            np.cumsum(amplitudes[..., :-1] ** 2, axis=2,
-                      out=self.thresholds[:, : dim - 1, first : first + count].transpose(0, 2, 1))
+            # One contiguous cumsum; summing into the transposed view would loop per register.
+            self.thresholds[:, : dim - 1, first : first + count] = np.cumsum(
+                amplitudes[..., :-1] ** 2, axis=2).transpose(0, 2, 1)
             first += count
         draws = np.concatenate([rng.uniforms(k * registers) for rng in rngs]).reshape(runs, k, -1)
         values = np.empty((runs, k, registers), dtype=np.min_scalar_type(top))
@@ -422,8 +408,8 @@ def qiga1_evolve(
     """Order-1 rotation-gate baseline under the same budget bookkeeping.
 
     Each gene is an independent qubit [alpha, beta].  After evaluating a
-    generation, every qubit is rotated by the table angle for (observed bit,
-    best bit, observed-at-least-best), then clamped away from the poles by
+    generation, every qubit is rotated by rotation_table[4x + 2b + c] for observed
+    bit x, best bit b and c = observed-at-least-best, then clamped away from the poles by
     the epsilon guard so no outcome ever becomes unreachable; the one-run call of qiga1_lockstep.
     """
     return qiga1_lockstep(problem, config, [rng])[0]
@@ -440,7 +426,7 @@ def qiga1_lockstep(
     """
     n = _check_problem(problem, len(rngs))
     runs, pop = len(rngs), config.quantum_population_size
-    angles = config.table_array().ravel()  # flat [x, b, cmp]
+    angles = np.array(config.rotation_table)  # indexed 4x + 2b + c, as rotate computes it
     gates = np.stack([np.cos(angles), -np.sin(angles), np.sin(angles)])
     state = np.full((2, runs, pop, n), math.sqrt(0.5))
     # Reused by every rotation: the flat index and the cos, -sin and sin planes it selects.

@@ -71,8 +71,8 @@ class AlgorithmSpec:
     def build(self, max_fitness_evaluations: int):
         """Materialise the config for this spec under the shared budget.
 
-        Only the given params are passed on, mu as the contraction factor and a non-null
-        angle as the rotation table; other knobs keep their defaults.  The config checks
+        Only the given params are passed on, mu as the contraction factor and an angle
+        as the rotation table; other knobs keep their defaults.  The config checks
         every value, the budget too; an unaccepted param or a missing order raises naming it.
         """
         config_type, accepted = ALGORITHMS[self.id]
@@ -86,9 +86,8 @@ class AlgorithmSpec:
             raise ValueError(f"{self.id} requires an 'order' parameter")
         if "mu" in params:
             params["contraction_factor"] = params.pop("mu")
-        angle = params.pop("angle", None)
-        if angle is not None:
-            params["rotation_table"] = default_rotation_table(angle)
+        if "angle" in params:
+            params["rotation_table"] = default_rotation_table(params.pop("angle"))
         return config_type(max_fitness_evaluations=max_fitness_evaluations, **params)
 
     def run_group(self, problem: FitnessFunction, seeds, config) -> list[RunResult]:

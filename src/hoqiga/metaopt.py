@@ -99,11 +99,7 @@ def tune(spec: TuningSpec) -> TuningResult:
     raw = np.reshape([cell.mean for cell in result.cells], (len(spec.problems), -1)).T.copy()
 
     spans = raw.max(axis=0) - raw.min(axis=0)
-    normalized = np.zeros_like(raw)
-    informative = spans > 0
-    normalized[:, informative] = (raw[:, informative] - raw.min(axis=0)[informative]) / spans[
-        informative
-    ]
+    normalized = np.divide(raw - raw.min(axis=0), spans, out=np.zeros_like(raw), where=spans > 0)
     scores = normalized.mean(axis=1)
 
     top = scores.max()

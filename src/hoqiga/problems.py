@@ -260,16 +260,21 @@ def maxsat_fitness(formula: CnfFormula, bits: BitString) -> float:
 class BlockTable(FitnessFunction):
     """Sum of table[ones in the block] over blocks of k = len(table) - 1 consecutive genes.
 
-    Blocks score independently, so the optimum is blocks * max(table).  Each
+    table is a flat sequence of at least 2 finite reals, bools excluded; blocks
+    score independently, so the optimum is the float blocks * max(table).  Each
     block's value is one float, summed in block order.  Rows must be 0/1 and
     are not checked: a block that sums above k raises IndexError.
     """
 
     def __init__(self, blocks: int, table, name: str = ""):
         check_int("block count", blocks, 1)
+        if len(table) < 2:
+            raise ValueError(f"block table must hold at least 2 values, got {len(table)}")
+        for value in table:
+            check_real("block table value", value)
         self.table = np.array(table, dtype=np.float64)
         self.block_size = len(self.table) - 1
-        super().__init__(blocks * self.block_size, blocks * max(table), name)
+        super().__init__(blocks * self.block_size, blocks * float(self.table.max()), name)
 
     def batch(self, bits: np.ndarray) -> np.ndarray:
         bits, k = self._rows(bits), self.block_size

@@ -1,5 +1,6 @@
 """Contraction operator, evolvers, budget and determinism tests."""
 
+import dataclasses
 import logging
 import math
 import re
@@ -442,7 +443,7 @@ class TestQigaEvolve:
 def reference_qiga1_evolve(problem, config, rng):
     """The rotation-gate baseline one individual at a time."""
     n, pop = problem.size, config.quantum_population_size
-    table = config.table_array()
+    table = np.reshape(config.rotation_table, (2, 2, 2))  # [x, b, comparison]
     state = np.full((pop, n, 2), math.sqrt(0.5))
     best_bits, best_fitness = None, -math.inf
     trajectory = []
@@ -473,14 +474,13 @@ def reference_qiga1_evolve(problem, config, rng):
 
 class TestQiga1Evolve:
     def test_matches_per_individual_loop(self):
-        steep = {k: 8 * v for k, v in default_rotation_table().items()}
-        distinct = {k: 0.01 * (1 + k[0] + 2 * k[1] + 4 * k[2]) for k in default_rotation_table()}
+        steep = tuple(8 * v for v in default_rotation_table())
         cases = [
             (onemax(9), Qiga1Config(max_fitness_evaluations=300)),
             (pair_trap(5), Qiga1Config(quantum_population_size=7, max_fitness_evaluations=200)),
             (onemax(12), Qiga1Config(rotation_table=steep, epsilon_guard=0.0,
                                      quantum_population_size=6, max_fitness_evaluations=250)),
-            (pair_trap(3), Qiga1Config(rotation_table=distinct, quantum_population_size=4,
+            (pair_trap(3), Qiga1Config(rotation_table=DISTINCT_TABLE, quantum_population_size=4,
                                        max_fitness_evaluations=203)),
         ]
         for problem, config in cases:
@@ -548,8 +548,7 @@ class TestQiga1Evolve:
         assert clamped.tobytes() == poles.tobytes()
 
     def test_zero_table_equals_random_sampling(self):
-        table = {k: 0.0 for k in default_rotation_table()}
-        config = Qiga1Config(rotation_table=table, quantum_population_size=5,
+        config = Qiga1Config(rotation_table=(0.0,) * 8, quantum_population_size=5,
                              max_fitness_evaluations=200)
         problem = onemax(9)
         result = qiga1_evolve(problem, config, RandomSource(21))
@@ -586,14 +585,32 @@ class TestQiga1Evolve:
         assert len(result.trajectory) == 250
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="8"):
-            Qiga1Config(rotation_table=(((0, 0, False), 0.0),))
+        with pytest.raises(ValueError, match="^rotation table must hold 8 angles, got 1$"):
+            Qiga1Config(rotation_table=(0.0,))
+        with pytest.raises(ValueError, match="^rotation table must hold 8 angles, got 9$"):
+            Qiga1Config(rotation_table=(0.0,) * 9)
         with pytest.raises(ValueError, match="pi/2"):
-            bad = {k: 0.0 for k in default_rotation_table()}
-            bad[(0, 1, False)] = 2.0
-            Qiga1Config(rotation_table=bad)
+            Qiga1Config(rotation_table=(0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+        # A mapping, the table's old form, yields its keys as angles.
+        old_form = {(x, b, c): 0.0 for x in (0, 1) for b in (0, 1) for c in (False, True)}
+        with pytest.raises(ValueError, match=re.escape("rotation angle must be a finite real "
+                                                       "number, got (0, 0, False)")):
+            Qiga1Config(rotation_table=old_form)
         with pytest.raises(ValueError, match="epsilon"):
             Qiga1Config(epsilon_guard=0.3)
+
+    def test_default_table_by_hand(self):
+        # Entry 4x + 2b + c: only a worse individual whose bit x differs from the best's b
+        # moves, toward b; index 2 is (x=0, b=1, worse), index 4 is (x=1, b=0, worse).
+        a = 0.3
+        assert default_rotation_table(a) == (0.0, 0.0, a, 0.0, -a, 0.0, 0.0, 0.0)
+        assert Qiga1Config().rotation_table == default_rotation_table()
+        assert all(type(angle) is float for angle in Qiga1Config().rotation_table)
+
+    def test_table_survives_replace(self):
+        config = dataclasses.replace(Qiga1Config(rotation_table=DISTINCT_TABLE), epsilon_guard=0.0)
+        assert config.rotation_table == DISTINCT_TABLE
+        assert Qiga1Config(rotation_table=list(DISTINCT_TABLE)).rotation_table == DISTINCT_TABLE
 
 
 def reference_sga_evolve(problem, config, rng):
@@ -964,7 +981,8 @@ class TestQigaLockstep:
             assert same_run(result, qiga_evolve(problem, config, RandomSource(s)))
 
 
-DISTINCT_TABLE = {k: 0.01 * (1 + k[0] + 2 * k[1] + 4 * k[2]) for k in default_rotation_table()}
+DISTINCT_TABLE = tuple(0.01 * (1 + x + 2 * b + 4 * c)
+                       for x in (0, 1) for b in (0, 1) for c in (0, 1))  # entry 4x + 2b + c
 
 
 class TestQiga1Lockstep:
@@ -1182,7 +1200,8 @@ def test_real_config_fields_reject_other_values_by_name(config_type, name, value
 def test_rotation_angles_reject_other_values_by_name(value):
     with pytest.raises(ValueError, match="^angle must be a finite real number, got "):
         default_rotation_table(value)
-    table = {**default_rotation_table(), (0, 1, False): value}
+    table = list(default_rotation_table())
+    table[2] = value
     with pytest.raises(ValueError, match="^rotation angle must be a finite real number, got "):
         Qiga1Config(rotation_table=table)
 

@@ -433,11 +433,12 @@ class TestBenchCommand:
         assert "empty" not in {r["problem"] for r in rows}
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_nan_angle_fails_only_its_cells(self, capsys, tmp_path, jobs):
+    @pytest.mark.parametrize("angle, shown", [(float("nan"), "nan"), (None, "None")])
+    def test_bad_angle_fails_only_its_cells(self, capsys, tmp_path, jobs, angle, shown):
         plan = json.loads(self.write_plan(tmp_path).read_text())
-        plan["algorithms"].append({"id": "qiga1", "angle": float("nan")})
+        plan["algorithms"].append({"id": "qiga1", "angle": angle})
         (tmp_path / "plan.json").write_text(json.dumps(plan))
-        assert '"angle": NaN' in (tmp_path / "plan.json").read_text()
+        assert f'"angle": {json.dumps(angle)}' in (tmp_path / "plan.json").read_text()
         outdir = tmp_path / "out"
         code, _, err = invoke(
             capsys, "bench", "--plan", str(tmp_path / "plan.json"),
@@ -447,7 +448,7 @@ class TestBenchCommand:
         failed = [line for line in err.splitlines() if line.startswith("failed: ")]
         assert [line.split(":")[1].strip() for line in failed] == ["om6 / qiga1", "t2 / qiga1"]
         for line in failed:
-            assert "angle must be a finite real number, got nan" in line
+            assert f"angle must be a finite real number, got {shown}" in line
         rows = list(csv.DictReader((outdir / "runs.csv").open()))
         assert len(rows) == 2 * 2 * 2
         assert "qiga1" not in {r["algorithm"] for r in rows}

@@ -152,12 +152,20 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match=re.escape(f"{param!r}; it accepts {accepted}")):
             spec.build(1000)
 
+    @pytest.mark.parametrize("algo_id, param", [(algo_id, param) for algo_id, (_, accepted)
+                                                in ALGORITHMS.items() for param in accepted])
+    def test_null_parameter_rejected_by_name(self, algo_id, param):
+        params = {"order": 2, param: None} if "order" in ALGORITHMS[algo_id][1] else {param: None}
+        field = {"mu": "contraction_factor"}.get(param, param)
+        with pytest.raises(ValueError, match=f"^{field} must be an? .*, got None$"):
+            AlgorithmSpec(algo_id, params).build(1000)
+
     def test_table_parameters_reach_the_config(self):
         assert AlgorithmSpec("qiga2").build(100).order == 2
         qiga = AlgorithmSpec("qiga-r", {"order": 3, "mu": 0.5}).build(100)
         assert (qiga.order, qiga.contraction_factor) == (3, 0.5)
         qiga1 = AlgorithmSpec("qiga1", {"angle": 0.2}).build(100)
-        assert dict(qiga1.rotation_table)[(0, 1, False)] == 0.2
+        assert qiga1.rotation_table[2] == 0.2
 
     def test_readme_parameter_table_matches_code(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

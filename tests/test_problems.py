@@ -1,5 +1,6 @@
 """DIMACS parsing, MAX-SAT fitness and synthetic-problem tests."""
 
+import math
 import re
 
 import numpy as np
@@ -225,10 +226,23 @@ class TestSyntheticProblems:
     def test_block_table_scores_each_block_by_its_ones(self):
         trap3 = BlockTable(2, (2.0, 1.0, 0.0, 3.0))  # Goldberg's trap-3
         assert trap3.size == 6 and trap3.optimum == 6.0
+        assert repr(pair_trap(3, 2, 1, 0).optimum) == "6.0"  # a float, even from int values
         assert trap3(bits_from_string("111000")) == 5.0
         assert trap3(bits_from_string("010101")) == 1.0
         assert trap3(bits_from_string("110000")) == 2.0
 
+    @pytest.mark.parametrize("table, message", [
+        ((), "must hold at least 2 values, got 0"),
+        ((1.0,), "must hold at least 2 values, got 1"),
+        ((0.0, math.nan), "value must be a finite real number, got nan"),
+        ((0.0, math.inf), "value must be a finite real number, got inf"),
+        ([[0, 1], [1, 2]], "value must be a finite real number, got [0, 1]"),
+        ((True, False), "value must be a finite real number, got True"),
+        ((0.0, "1"), "value must be a finite real number, got '1'"),
+    ])
+    def test_block_table_rejects_tables_it_cannot_score(self, table, message):
+        with pytest.raises(ValueError, match=re.escape(f"block table {message}")):
+            BlockTable(2, table)
     def test_rows_must_be_zero_or_one(self):
         with pytest.raises(IndexError):
             onemax(3)(np.array([0, 2, 1]))
