@@ -25,7 +25,12 @@ qiga observes its registers, then contracts them toward the best; qiga1
 compares draws with its alpha plane, then rotates and clamps its qubits; sga
 hands over its population, then selects, crosses and mutates.  qiga and sga
 score a generation with problem.batch; qiga1 still calls problem(row) once per
-row, because the benchmark's per-layer trace divides by that call count.
+row, because the benchmark's per-layer trace divides by that call count, and
+divides its random-draw time by the count of RandomSource.uniforms calls.  On the
+sat-protocol workload only qiga1 makes scalar calls and only qiga and qiga1 call
+uniforms, so removing either kind of call fails that workload's traced pass with
+exit 1; scoring qiga1 by batch and drawing many generations at once (ROADMAP items
+2 and 3) wait for the mended trace of item 1.
 """
 
 from __future__ import annotations
@@ -43,10 +48,7 @@ from .problems import FitnessFunction
 logger = logging.getLogger(__name__)
 
 BATCH_ROWS = 100  # most rows one problem.batch call scores, which bounds its temporaries
-# Most amplitudes (sga: bits) of one lockstep group, and most threshold comparisons of one
-# qiga observe step, counted over every run's whole (2**order - 1, registers) table (a step
-# compares at least one row).
-LOCKSTEP_CELLS = 1 << 16
+LOCKSTEP_CELLS = 1 << 16  # most amplitudes (sga: bits) of one lockstep group
 
 def default_rotation_table(angle: float = 0.01 * math.pi) -> tuple[float, ...]:
     """The 8 angles of qiga1's table; entry 4x + 2b + c is the rotation for observed
@@ -268,9 +270,11 @@ class _PackedRegisters:
     register's bits high bit first.  Observation reads one value-major table,
     `thresholds` of shape (runs, 2**order - 1, registers): register j's column
     holds its cumulative probabilities but the last, and a short register's
-    unused entries stay +inf, which no draw in [0, 1) reaches.  All operations
-    are float-identical to the per-register public operations, and each run's
-    observation draws consume its own random stream exactly like observe_chromosome.
+    unused entries stay +inf, which no draw in [0, 1) reaches; a register's value is
+    the count of its thresholds at or below its draw, found for a whole generation by
+    one comparison.  All operations are float-identical to the per-register public
+    operations, and each run's observation draws consume its own random stream exactly
+    like observe_chromosome.
     """
 
     def __init__(self, n_bits: int, order: int, runs: int = 1):
@@ -282,13 +286,17 @@ class _PackedRegisters:
             amplitudes = np.full((runs, layout.count(block_order), dim), math.sqrt(1.0 / dim))
             self.blocks.append((shifts[order - block_order :], amplitudes))
         self.thresholds = np.full((runs, 2**order - 1, len(layout)), math.inf)
-        self.chunk = max(1, LOCKSTEP_CELLS // self.thresholds.size)
         self.bit_table = ((np.arange(2**order)[:, None] >> shifts) & 1).astype(np.uint8)
         # A short final register's value sets only its low bits, the last columns of its row.
         self.columns = np.r_[: n_bits - layout[-1], -layout[-1] : 0] if layout[-1] < order else None
 
     def observe(self, k: int, rngs: list[RandomSource]) -> np.ndarray:
-        """A (runs, k, n) array of samples; run s draws as k observe_chromosome calls on rngs[s]."""
+        """A (runs, k, n) array of samples; run s draws as k observe_chromosome calls on rngs[s].
+
+        The one comparison holds k bytes per threshold, at most about k * LOCKSTEP_CELLS
+        per lockstep group (0.66 MB at k = 10), beside 8 bytes per float64 draw, so at
+        orders <= 3 it is smaller than the generation's draws.
+        """
         runs, top, registers = self.thresholds.shape  # top: the largest value, 2**order - 1
         first = 0
         for _, amplitudes in self.blocks:
@@ -298,11 +306,8 @@ class _PackedRegisters:
             self.thresholds[:, : dim - 1, first : first + count] = np.cumsum(
                 amplitudes[..., :-1] ** 2, axis=2).transpose(0, 2, 1)
             first += count
-        draws = np.concatenate([rng.uniforms(k * registers) for rng in rngs]).reshape(runs, k, -1)
-        values = np.empty((runs, k, registers), dtype=np.min_scalar_type(top))
-        for i in range(0, k, self.chunk):
-            np.sum(self.thresholds[:, None] <= draws[:, i : i + self.chunk, None], axis=2,
-                   out=values[:, i : i + self.chunk])
+        draws = np.concatenate([r.uniforms(k * registers) for r in rngs]).reshape(runs, k, 1, -1)
+        values = np.sum(self.thresholds[:, None] <= draws, axis=2, dtype=np.min_scalar_type(top))
         bits = self.bit_table.take(values, axis=0).reshape(runs, k, -1)
         return bits if self.columns is None else bits.take(self.columns, axis=2)
 
@@ -379,8 +384,8 @@ def lockstep_group_size(config: QigaConfig | Qiga1Config | SgaConfig, n_bits: in
         per_run = config.population_size * n_bits
     elif isinstance(config, Qiga1Config):
         per_run = 2 * config.quantum_population_size * n_bits
-    else:  # a missing tail register counts 1
-        per_run = n_bits // config.order * 2**config.order + 2 ** (n_bits % config.order)
+    else:  # every amplitude of the chromosome
+        per_run = sum(2**o for o in chromosome_layout(n_bits, config.order))
     return max(1, LOCKSTEP_CELLS // per_run)
 
 

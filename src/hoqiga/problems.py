@@ -49,6 +49,7 @@ class CnfFormula:
             if not clause:
                 raise ValueError(f"clause {i} is empty")
             for lit in clause:
+                check_int(f"clause {i} literal", lit)
                 if lit == 0 or abs(lit) > self.variable_count:
                     raise ValueError(
                         f"clause {i} literal {lit} out of range for "
@@ -318,6 +319,8 @@ def generate_uniform_3sat(n_vars: int, clause_count: int, rng: RandomSource) -> 
     if n_vars < 3:
         raise ValueError(f"uniform 3-SAT needs at least 3 variables, got {n_vars}")
     check_int("clause count", clause_count, 1)
+    if clause_count > 10**6:
+        raise ValueError(f"clause count must be <= 1000000, got {clause_count}")
     clauses = []
     for _ in range(clause_count):
         variables = rng.gen.choice(n_vars, size=3, replace=False) + 1
@@ -326,11 +329,15 @@ def generate_uniform_3sat(n_vars: int, clause_count: int, rng: RandomSource) -> 
     return CnfFormula(n_vars, tuple(clauses))
 
 
-def _spec_int(text: str) -> int:
-    """An integer field of a problem spec: plain ASCII decimal digits, nothing else."""
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"expected a decimal integer, got {text!r}")
-    return int(text)
+def _spec_ints(form: str, rest: str) -> list[int]:
+    """The integer fields after a spec's kind, one per field of form, each plain ASCII digits."""
+    fields = rest.split(":")
+    if len(fields) != form.count(":"):
+        raise ValueError(f"expected {form}, got {rest!r}")
+    for text in fields:
+        if not (text.isascii() and text.isdigit()):
+            raise ValueError(f"expected a decimal integer, got {text!r}")
+    return [int(text) for text in fields]
 
 
 def load_problem(source: str, name: str = "") -> FitnessFunction:
@@ -344,11 +351,11 @@ def load_problem(source: str, name: str = "") -> FitnessFunction:
     kind, _, rest = source.partition(":")
     try:
         if kind == "onemax":
-            problem = onemax(_spec_int(rest))
+            problem = onemax(*_spec_ints("onemax:N", rest))
         elif kind == "trap":
-            problem = pair_trap(_spec_int(rest))
+            problem = pair_trap(*_spec_ints("trap:PAIRS", rest))
         elif kind == "3sat":
-            n_vars, clause_count, seed = (_spec_int(p) for p in rest.split(":"))
+            n_vars, clause_count, seed = _spec_ints("3sat:VARS:CLAUSES:SEED", rest)
             formula = generate_uniform_3sat(n_vars, clause_count, RandomSource(seed))
             problem = MaxSat(formula, name=f"3sat-{n_vars}v{clause_count}c-s{seed}")
         else:

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import hoqiga.algorithms
 from hoqiga.algorithms import (
     BATCH_ROWS,
     Qiga1Config,
@@ -312,27 +311,10 @@ class TestQigaEvolve:
         assert np.array_equal(result.best_bits, problem.calls[0])
         assert np.all(result.trajectory == result.trajectory[0])
 
-    @pytest.mark.parametrize("rows_per_step", [1, 3])
-    def test_observe_steps_do_not_change_results(self, monkeypatch, rows_per_step):
-        # 12 bits in four order-3 registers: 28 thresholds compared per row,
-        # so the default compares a whole generation of 8 rows in one step.
-        problem = pair_trap(6)
-        config = QigaConfig(order=3, quantum_population_size=8, max_fitness_evaluations=203)
-        whole = qiga_evolve(problem, config, RandomSource(5))
-        monkeypatch.setattr(hoqiga.algorithms, "LOCKSTEP_CELLS", rows_per_step * 28)
-        stepped = qiga_evolve(problem, config, RandomSource(5))
-        assert np.array_equal(stepped.best_bits, whole.best_bits)
-        assert stepped.trajectory.tobytes() == whole.trajectory.tobytes()
-
-    @pytest.mark.parametrize("one_row_steps", [False, True], ids=["default", "one-row"])
     @pytest.mark.parametrize("n, order", [(250, 1), (250, 2), (251, 2), (24, 6), (26, 6), (12, 8)])
-    def test_packed_observe_matches_observe_chromosome(self, monkeypatch, n, order,
-                                                       one_row_steps):
+    def test_packed_observe_matches_observe_chromosome(self, n, order):
         # Many short registers (orders 1 and 2) and few long ones (orders 6 and 8); 251
         # and 26 genes add a short final register, whose unused thresholds are +inf.
-        # LOCKSTEP_CELLS 1 compares one row a step.
-        if one_row_steps:
-            monkeypatch.setattr(hoqiga.algorithms, "LOCKSTEP_CELLS", 1)
         runs, k = 3, 7
         packed = _PackedRegisters(n, order, runs)
         draws = np.random.default_rng(n + order)

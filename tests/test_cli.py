@@ -263,6 +263,7 @@ class TestGenCommand:
             (("--vars", "10", "--ratio", "inf"), "--ratio must be a finite real number, got inf"),
             (("--vars", "5", "--ratio", "1e308"), "clause count from --ratio must be a finite"),
             (("--vars", "10", "--clauses", "5", "--seed", "-1"), "seed must be"),
+            (("--vars", "5", "--ratio", "1e300"), "clause count must be <= 1000000, got "),
         ],
     )
     def test_bad_flag_values_are_usage_errors(self, capsys, tmp_path, argv, named):

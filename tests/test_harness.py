@@ -15,7 +15,7 @@ import pytest
 import hoqiga.algorithms
 import hoqiga.harness
 import hoqiga.problems
-from hoqiga.algorithms import SgaConfig
+from hoqiga.algorithms import QigaConfig, SgaConfig
 from hoqiga.core import bits_to_string
 from hoqiga.harness import (
     ALGORITHMS,
@@ -526,8 +526,8 @@ class NanOneMax(FitnessFunction):
 
 class TestLockstepGroups:
     @pytest.mark.parametrize("engine, algorithm, amplitudes", [
-        # onemax:6 at order 2 counts 3 * 4 amplitudes (+1 for the missing tail) per run.
-        pytest.param("qiga_lockstep", small_plan().algorithms[0], 39, id="qiga2"),
+        # onemax:6 at order 2 counts 3 * 4 amplitudes per run.
+        pytest.param("qiga_lockstep", small_plan().algorithms[0], 36, id="qiga2"),
         # qiga1 with 3 quantum individuals on onemax:6 counts 2 * 3 * 6 = 36 amplitudes per run.
         pytest.param("qiga1_lockstep", AlgorithmSpec("qiga1", (("quantum_population_size", 3),)),
                      108, id="qiga1"),
@@ -577,6 +577,17 @@ class TestLockstepGroups:
     def test_groups_fill_the_amplitude_budget(self, config, too_many_genes):
         assert hoqiga.algorithms.lockstep_group_size(config, 250) == 13
         assert hoqiga.algorithms.lockstep_group_size(config, too_many_genes) == 1
+
+    @pytest.mark.parametrize("genes, order, runs", [
+        # 125 order-2 registers count 125 * 4 = 500 amplitudes per run: 65536 // 500 = 131.
+        pytest.param(250, 2, 131, id="250-order-2"),
+        # 83 order-3 registers and one order-1 tail count 83 * 8 + 2 = 666: 65536 // 666 = 98.
+        pytest.param(250, 3, 98, id="250-order-3-short-tail"),
+        # onemax:6 at order 2 counts 3 * 4 = 12 amplitudes per run: 65536 // 12 = 5461.
+        pytest.param(6, 2, 5461, id="6-order-2"),
+    ])
+    def test_qiga_groups_count_the_chromosome_amplitudes(self, genes, order, runs):
+        assert hoqiga.algorithms.lockstep_group_size(QigaConfig(order=order), genes) == runs
 
     def test_failing_group_logs_its_seed_range(self, caplog, monkeypatch):
         caplog.set_level(logging.DEBUG, logger="hoqiga.harness")

@@ -290,6 +290,22 @@ def test_3sat_generator_sizes_must_be_integers(n_vars, clause_count, name):
         generate_uniform_3sat(n_vars, clause_count, RandomSource(0))
 
 
+def test_3sat_generator_caps_the_clause_count():
+    # The paper's instances have at most 1075 clauses; the generator builds one at a time.
+    with pytest.raises(ValueError, match="^clause count must be <= 1000000, got 1000001$"):
+        generate_uniform_3sat(5, 10**6 + 1, RandomSource(0))
+    with pytest.raises(ValueError, match="^cannot load problem '3sat:5:1000001:1': clause count "
+                                         "must be <= 1000000, got 1000001$"):
+        load_problem("3sat:5:1000001:1")
+
+
+@pytest.mark.parametrize("literal", [1.5, "1", True, np.int64(1), None],
+                         ids=["float", "str", "bool", "numpy-int", "none"])
+def test_cnf_literals_must_be_integers(literal):
+    with pytest.raises(ValueError, match=r"^clause 1 literal must be an integer, got "):
+        CnfFormula(3, ((1, 2), (literal, 2)))
+
+
 def _weighted_3sat(n_vars: int, clause_count: int, seed: int) -> CnfFormula:
     rng = RandomSource(seed)
     formula = generate_uniform_3sat(n_vars, clause_count, rng)
@@ -444,4 +460,16 @@ class TestLoadProblem:
     def test_integer_fields_are_plain_ascii_digits(self, spec):
         prefix = re.escape(f"cannot load problem {spec!r}: expected a decimal integer, got ")
         with pytest.raises(ValueError, match=f"^{prefix}"):
+            load_problem(spec)
+
+    @pytest.mark.parametrize("spec, form, rest", [
+        ("3sat:10:20", "3sat:VARS:CLAUSES:SEED", "10:20"),
+        ("3sat:10:20:1:2", "3sat:VARS:CLAUSES:SEED", "10:20:1:2"),
+        ("3sat", "3sat:VARS:CLAUSES:SEED", ""),
+        ("onemax:4:5", "onemax:N", "4:5"),
+        ("trap:3:", "trap:PAIRS", "3:"),
+    ], ids=["3sat-two", "3sat-four", "3sat-none", "onemax-two", "trap-two"])
+    def test_spec_field_count_names_the_form(self, spec, form, rest):
+        message = f"cannot load problem {spec!r}: expected {form}, got {rest!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_problem(spec)
