@@ -62,7 +62,6 @@ from .problems import (
     MaxSat,
     generate_uniform_3sat,
     load_problem,
-    maxsat_fitness,
     onemax,
     pair_trap,
     parse_dimacs,

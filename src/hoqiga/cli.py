@@ -26,7 +26,7 @@ from .harness import (
     write_csv,
 )
 from .metaopt import TuningSpec, export_tuning_csv, tune
-from .problems import generate_uniform_3sat, load_problem, to_dimacs
+from .problems import MAX_CLAUSES, generate_uniform_3sat, load_problem, to_dimacs
 from .theory import profile_grid
 
 OUTDIR_ENV = "HOQIGA_OUTDIR"
@@ -103,7 +103,7 @@ def _cmd_run(args) -> int:
         check_int("seed", args.seed, 0)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    result = spec.run(problem, args.seed, config)
+    result = spec.run_group(problem, [args.seed], config)[0]
 
     print(f"problem {problem.name} size {problem.size}")
     print(f"best_fitness {result.best_fitness!r}")
@@ -126,7 +126,8 @@ def _cmd_bench(args) -> int:
             plan = dataclasses.replace(plan, jobs=args.jobs)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-    outdir = args.outdir or os.environ.get(OUTDIR_ENV) or "."
+    outdir = Path(args.outdir or os.environ.get(OUTDIR_ENV) or ".")
+    outdir.mkdir(parents=True, exist_ok=True)  # a bad outdir fails before any run
     result = run_experiment(plan)
     for path in export_all(result, outdir):
         print(f"wrote {path}")
@@ -185,10 +186,15 @@ def _cmd_gen(args) -> int:
     if (args.clauses is None) == (args.ratio is None):
         raise UsageError("give exactly one of --clauses or --ratio")
     try:
-        if args.clauses is None:
+        clause_count = args.clauses
+        if clause_count is None:
             check_real("--ratio", args.ratio)
-            check_real("clause count from --ratio", args.ratio * args.vars)
-        clause_count = args.clauses if args.clauses is not None else round(args.ratio * args.vars)
+            count = args.ratio * args.vars
+            check_real("clause count from --ratio", count)
+            clause_count = round(count)
+            if clause_count > MAX_CLAUSES:  # name the float, not its many-digit rounding
+                raise ValueError(
+                    f"clause count must be <= {MAX_CLAUSES}, got {count!r} from --ratio")
         formula = generate_uniform_3sat(args.vars, clause_count, RandomSource(args.seed))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc

@@ -53,9 +53,10 @@ class RandomSource:
     """Deterministic random stream: one 64-bit seed, one PCG64 generator.
 
     PCG64 is a documented, versioned bit generator, so a recorded seed
-    reproduces the exact same draws across runs and library versions.  Batched
-    draws (``uniforms(n)``) consume the stream identically to n successive
-    scalar draws, which keeps vectorised and scalar code paths interchangeable.
+    reproduces the exact same draws across runs and library versions.  Engines
+    observe through ``uniforms``, whose batches split freely: ``uniforms(a + b)``
+    equals ``uniforms(a)`` then ``uniforms(b)`` and leaves ``gen`` in the same
+    state.  Every other draw goes to ``gen`` directly.
     """
 
     def __init__(self, seed: int):
@@ -63,21 +64,9 @@ class RandomSource:
         self.seed = seed
         self.gen = np.random.Generator(np.random.PCG64(self.seed))
 
-    def uniform(self) -> float:
-        """One uniform draw from [0, 1)."""
-        return float(self.gen.random())
-
     def uniforms(self, n: int) -> np.ndarray:
-        """n uniform draws from [0, 1), same stream as n calls to uniform()."""
+        """n uniform draws from [0, 1)."""
         return self.gen.random(n)
-
-    def integer(self, low: int, high: int) -> int:
-        """One uniform integer from [low, high)."""
-        return int(self.gen.integers(low, high))
-
-    def bits(self, n: int) -> BitString:
-        """n independent fair bits as a uint8 array."""
-        return self.gen.integers(0, 2, size=n, dtype=np.uint8)
 
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed})"
@@ -197,7 +186,7 @@ def _scan_outcomes(probs: np.ndarray, draws: np.ndarray) -> np.ndarray:
 
 def observe_register(reg: QuantumRegister, rng: RandomSource) -> int:
     """Sample one group value: index k with probability amplitudes[k]**2."""
-    return int(_scan_outcomes(reg.probabilities, np.asarray(rng.uniform())))
+    return int(_scan_outcomes(reg.probabilities, rng.uniforms(1))[0])
 
 
 def observe_register_many(reg: QuantumRegister, n: int, rng: RandomSource) -> np.ndarray:

@@ -96,10 +96,6 @@ class AlgorithmSpec:
                     SgaConfig: sga_lockstep}[type(config)]
         return lockstep(problem, config, [RandomSource(seed) for seed in seeds])
 
-    def run(self, problem: FitnessFunction, seed: int, config) -> RunResult:
-        """One seeded run of this spec's evolver with a config from build()."""
-        return self.run_group(problem, [seed], config)[0]
-
 
 @dataclass(frozen=True)
 class ExperimentPlan:

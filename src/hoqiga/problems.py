@@ -11,6 +11,9 @@ import numpy as np
 
 from .core import BitString, RandomSource, check_int, check_real
 
+#: Most clauses generate_uniform_3sat builds; it builds them one at a time.
+MAX_CLAUSES = 10**6
+
 
 def _check_weight(weight: float) -> None:
     """Reject a clause weight that is not positive and finite (NaN fails both)."""
@@ -253,11 +256,6 @@ class MaxSat(FitnessFunction):
         return np.float64(np.count_nonzero(satisfied)) if w is None else (satisfied * w).sum(-1)
 
 
-def maxsat_fitness(formula: CnfFormula, bits: BitString) -> float:
-    """Sum of weights of clauses with at least one true literal."""
-    return MaxSat(formula)(bits)
-
-
 class BlockTable(FitnessFunction):
     """Sum of table[ones in the block] over blocks of k = len(table) - 1 consecutive genes.
 
@@ -319,8 +317,8 @@ def generate_uniform_3sat(n_vars: int, clause_count: int, rng: RandomSource) -> 
     if n_vars < 3:
         raise ValueError(f"uniform 3-SAT needs at least 3 variables, got {n_vars}")
     check_int("clause count", clause_count, 1)
-    if clause_count > 10**6:
-        raise ValueError(f"clause count must be <= 1000000, got {clause_count}")
+    if clause_count > MAX_CLAUSES:
+        raise ValueError(f"clause count must be <= {MAX_CLAUSES}, got {clause_count}")
     clauses = []
     for _ in range(clause_count):
         variables = rng.gen.choice(n_vars, size=3, replace=False) + 1

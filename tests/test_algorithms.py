@@ -144,7 +144,7 @@ class TestContractionUpdate:
         rng = RandomSource(3)
         reg = register_uniform(3)
         for _ in range(50):
-            best = rng.integer(0, 8)
+            best = int(rng.gen.integers(0, 8))
             updated = contraction_update(reg, best, 0.9)
             assert updated.amplitudes[best] >= reg.amplitudes[best] - 1e-15
             reg = updated
@@ -153,7 +153,7 @@ class TestContractionUpdate:
         rng = RandomSource(9)
         reg = register_uniform(2)
         for _ in range(10_000):
-            reg = contraction_update(reg, rng.integer(0, 4), 0.997)
+            reg = contraction_update(reg, int(rng.gen.integers(0, 4)), 0.997)
         assert abs(float(np.sum(reg.amplitudes**2)) - 1.0) <= 1e-12
 
     def test_closed_form_after_t_updates(self):

@@ -263,7 +263,8 @@ class TestGenCommand:
             (("--vars", "10", "--ratio", "inf"), "--ratio must be a finite real number, got inf"),
             (("--vars", "5", "--ratio", "1e308"), "clause count from --ratio must be a finite"),
             (("--vars", "10", "--clauses", "5", "--seed", "-1"), "seed must be"),
-            (("--vars", "5", "--ratio", "1e300"), "clause count must be <= 1000000, got "),
+            (("--vars", "5", "--ratio", "1e300"),
+             "error: clause count must be <= 1000000, got 5e+300 from --ratio\n"),
         ],
     )
     def test_bad_flag_values_are_usage_errors(self, capsys, tmp_path, argv, named):
@@ -537,6 +538,17 @@ class TestBenchCommand:
     def test_missing_plan_usage_error(self, capsys):
         assert invoke(capsys, "bench", "--plan", "nope.json")[0] == 1
 
+    def test_outdir_that_cannot_be_made_fails_before_any_run(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr("hoqiga.cli.run_experiment", calls.append)
+        plan = self.write_plan(tmp_path)
+        (tmp_path / "f").write_text("")
+        code, _, err = invoke(capsys, "bench", "--plan", str(plan),
+                              "--outdir", str(tmp_path / "f" / "sub"))
+        assert code == 2
+        assert err.startswith("error: [Errno 20] Not a directory: ")
+        assert calls == []
+
     def test_outdir_env_default(self, capsys, tmp_path, monkeypatch):
         plan = self.write_plan(tmp_path)
         outdir = tmp_path / "envout"
@@ -644,6 +656,19 @@ def test_demo_plan_and_meta_grid_keep_their_bytes(capsys, tmp_path):
         "demo/onemax48.svg": "7a6e60b92c5ec39dc6fa3301aec55612af5fd4073d57f9dc79f7cb632d1f96b9",
         "meta.csv": "6a22c45e32561f009af5ec0854e46638310d80ec1b20f8189463e2c119fd6b9d",
     }
+
+
+def test_sat_protocol_traced_benchmark_pass_holds():
+    # The traced pass checks the seed-0 digests pinned in benchmarks/digests.json
+    # and divides by the scalar-fitness and uniforms call counts, so a change
+    # that breaks either fails here.  It writes only under benchmarks/out/.
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "benchmarks/run.py", "--workload", "sat-protocol",
+                           "--seed", "0", "--seconds", "1", "--trace", "1"],
+                          cwd=root, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    summary = json.loads(done.stdout.splitlines()[-1])
+    assert summary["correct"] is True and summary["failed"] == 0
 
 
 class TestConfigTypesAndDocumentShapes:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hoqiga.algorithms import contraction_update
@@ -31,9 +31,6 @@ class FixedDraws:
 
     def __init__(self, values):
         self.values = list(values)
-
-    def uniform(self):
-        return self.values.pop(0)
 
     def uniforms(self, n):
         return np.array([self.values.pop(0) for _ in range(n)])
@@ -269,9 +266,18 @@ class TestRandomSource:
         a, b = RandomSource(9), RandomSource(9)
         assert a.uniforms(16) == pytest.approx(b.uniforms(16), abs=0)
 
-    def test_batch_equals_scalar_draws(self):
-        a, b = RandomSource(13), RandomSource(13)
-        assert np.array_equal(a.uniforms(8), [b.uniform() for _ in range(8)])
+    @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(0, 300),
+           st.integers(0, 300))
+    @example(13, 0, 0)
+    @example(13, 1, 1)
+    @settings(max_examples=50)
+    def test_batches_split_freely(self, seed, a, b):
+        # uniforms(a + b) is uniforms(a) then uniforms(b), and both leave the
+        # generator in the same state, so any batching draws the same stream.
+        whole, split = RandomSource(seed), RandomSource(seed)
+        assert np.array_equal(whole.uniforms(a + b),
+                              np.concatenate([split.uniforms(a), split.uniforms(b)]))
+        assert whole.gen.bit_generator.state == split.gen.bit_generator.state
 
     @pytest.mark.parametrize("seed, message", [
         (2.7, "seed must be an integer, got 2.7"),

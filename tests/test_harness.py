@@ -251,7 +251,8 @@ class TestRunExperiment:
         problem = plan.problems[0].load()
         expected = []
         for aspec in plan.algorithms:
-            runs = [(seed, aspec.run(problem, seed, aspec.build(100))) for seed in range(11, 18)]
+            runs = [(seed, aspec.run_group(problem, [seed], aspec.build(100))[0])
+                    for seed in range(11, 18)]
             expected.append([
                 (seed, r.best_fitness, bits_to_string(r.best_bits), r.trajectory.tobytes())
                 for seed, r in runs
@@ -274,7 +275,7 @@ class TestRunExperiment:
         assert not cells[0].failed and serial == parallel
         assert [len(r.trajectory) for r in cells[0].runs] == [100] * 3
         problem = small_plan().problems[0].load()
-        assert [spec.run(problem, r.seed, spec.build(100)).generations
+        assert [spec.run_group(problem, [r.seed], spec.build(100))[0].generations
                 for r in cells[0].runs] == [4] * 3
 
     def test_problem_pickled_once_per_chunk(self, monkeypatch):
@@ -561,7 +562,7 @@ class TestLockstepGroups:
 
         assert [records(cell) for cell in split.cells] == [records(cell) for cell in whole.cells]
         problem, aspec = problems[0].load(), plan.algorithms[0]
-        direct = [aspec.run(problem, seed, aspec.build(100)) for seed in range(11, 18)]
+        direct = [aspec.run_group(problem, [seed], aspec.build(100))[0] for seed in range(11, 18)]
         assert records(split.cells[0]) == [
             (seed, r.best_fitness, bits_to_string(r.best_bits), r.trajectory.tobytes())
             for seed, r in zip(range(11, 18), direct)

@@ -19,12 +19,17 @@ from hoqiga.problems import (
     MaxSat,
     generate_uniform_3sat,
     load_problem,
-    maxsat_fitness,
     onemax,
     pair_trap,
     parse_dimacs,
     to_dimacs,
 )
+
+
+def seeded_rows(first_seed, rows, size):
+    """One row of `size` fair 0/1 genes per seed from first_seed on, each its seed's first draw."""
+    return np.array([RandomSource(first_seed + i).gen.integers(0, 2, size=size, dtype=np.uint8)
+                     for i in range(rows)])
 
 
 class TestParseDimacs:
@@ -112,12 +117,12 @@ class TestSerialization:
 class TestMaxSatFitness:
     def test_both_clauses_satisfied(self):
         formula = CnfFormula(2, ((1, -2), (-1, 2)))
-        assert maxsat_fitness(formula, bits_from_string("11")) == 2.0
+        assert MaxSat(formula)(bits_from_string("11")) == 2.0
 
     def test_contradictory_pair(self):
         formula = CnfFormula(1, ((1,), (-1,)))
         for bits in all_assignments(1):
-            assert maxsat_fitness(formula, bits) == 1.0
+            assert MaxSat(formula)(bits) == 1.0
 
     @pytest.mark.parametrize("weight", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_weight_not_positive_and_finite(self, weight):
@@ -126,19 +131,19 @@ class TestMaxSatFitness:
 
     def test_weighted_counts_weights(self):
         formula = CnfFormula(2, ((1,), (2,)), weights=(3.0, 0.5))
-        assert maxsat_fitness(formula, bits_from_string("10")) == 3.0
-        assert maxsat_fitness(formula, bits_from_string("01")) == 0.5
-        assert maxsat_fitness(formula, bits_from_string("11")) == 3.5
+        assert MaxSat(formula)(bits_from_string("10")) == 3.0
+        assert MaxSat(formula)(bits_from_string("01")) == 0.5
+        assert MaxSat(formula)(bits_from_string("11")) == 3.5
 
     def test_variable_one_reads_bit_zero(self):
         formula = CnfFormula(3, ((1,),))
-        assert maxsat_fitness(formula, bits_from_string("100")) == 1.0
-        assert maxsat_fitness(formula, bits_from_string("001")) == 0.0
+        assert MaxSat(formula)(bits_from_string("100")) == 1.0
+        assert MaxSat(formula)(bits_from_string("001")) == 0.0
 
     def test_rejects_length_mismatch(self):
         formula = CnfFormula(2, ((1,),))
         with pytest.raises(ValueError):
-            maxsat_fitness(formula, bits_from_string("101"))
+            MaxSat(formula)(bits_from_string("101"))
 
     def test_matches_brute_force_oracle_exhaustively(self):
         formula = generate_uniform_3sat(10, 43, RandomSource(3))
@@ -157,7 +162,7 @@ class TestMaxSatFitness:
     def test_batch_matches_single(self):
         formula = generate_uniform_3sat(12, 50, RandomSource(8))
         problem = MaxSat(formula)
-        rows = np.array([RandomSource(i).bits(12) for i in range(40)])
+        rows = seeded_rows(0, 40, 12)
         assert np.array_equal(problem.batch(rows), [problem(r) for r in rows])
 
 
@@ -215,7 +220,7 @@ class TestSyntheticProblems:
 
     def test_batch_matches_single(self):
         problem = pair_trap(4)
-        rows = np.array([RandomSource(i).bits(8) for i in range(30)])
+        rows = seeded_rows(0, 30, 8)
         assert np.array_equal(problem.batch(rows), [problem(r) for r in rows])
 
     def test_both_landscapes_are_block_tables(self):
@@ -350,7 +355,7 @@ class TestOneEvaluator:
     @settings(max_examples=60, deadline=None)
     def test_batch_matches_single_bitwise(self, name, first_seed, rows):
         problem = BATCH_PROBLEMS[name]()
-        bits = np.array([RandomSource(first_seed + i).bits(problem.size) for i in range(rows)])
+        bits = seeded_rows(first_seed, rows, problem.size)
         values = problem.batch(bits)
         assert values.dtype == np.float64
         singles = np.array([problem(row) for row in bits])
@@ -415,7 +420,7 @@ class TestGenerate3Sat:
 
     def test_fitness_bounded_by_clause_count(self):
         formula = generate_uniform_3sat(20, 91, RandomSource(9))
-        assert maxsat_fitness(formula, np.ones(20, dtype=np.uint8)) <= 91
+        assert MaxSat(formula)(np.ones(20, dtype=np.uint8)) <= 91
 
     def test_rejects_too_few_variables(self):
         with pytest.raises(ValueError):
