@@ -22,6 +22,7 @@ from .harness import (
     ExperimentPlan,
     ProblemSpec,
     export_all,
+    open_fresh,
     run_experiment,
     write_csv,
 )
@@ -92,6 +93,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _check_out(out: str | None) -> None:
+    """A usage error before any run when --out's directory is missing or not a directory."""
+    if out and not Path(out).parent.is_dir():
+        raise UsageError(f"--out {out}: {Path(out).parent} is not a directory")
+
+
 def _cmd_run(args) -> int:
     problem = load_problem(args.problem)
     params = {"order": args.order, "mu": args.mu}
@@ -103,6 +110,7 @@ def _cmd_run(args) -> int:
         check_int("seed", args.seed, 0)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    _check_out(args.out)
     result = spec.run_group(problem, [args.seed], config)[0]
 
     print(f"problem {problem.name} size {problem.size}")
@@ -198,7 +206,8 @@ def _cmd_gen(args) -> int:
         formula = generate_uniform_3sat(args.vars, clause_count, RandomSource(args.seed))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    Path(args.out).write_text(to_dimacs(formula))
+    with open_fresh(args.out) as handle:
+        handle.write(to_dimacs(formula))
     print(f"wrote {args.out} ({formula.variable_count} vars, {formula.clause_count} clauses)")
     return 0
 
@@ -226,6 +235,7 @@ def _cmd_meta(args) -> int:
             )
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
+    _check_out(args.out)
     result = tune(spec)
     print(f"best mu {result.best_value!r}{' (tie)' if result.tie else ''}")
     for i, mu in enumerate(result.candidates):

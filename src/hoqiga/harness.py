@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from html import escape
 from pathlib import Path
-from typing import Any
+from typing import Any, TextIO
 
 import numpy as np
 
@@ -393,10 +393,22 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def write_csv(path: str | Path, header: list[str], rows) -> Path:
-    """Write header and rows as CSV with "\n" line ends; every export goes through here."""
+def open_fresh(path: str | Path) -> TextIO:
+    """path created anew for text writing with "\n" line ends; every export goes through here.
+
+    An existing file at path is unlinked first, never truncated in place (on some file
+    systems truncating a flushed file stalls for tens of ms), so a hard link or symlink at
+    path is replaced, not written through.
+    """
     path = Path(path)
-    with path.open("w", newline="\n") as handle:
+    path.unlink(missing_ok=True)
+    return path.open("x", newline="\n")
+
+
+def write_csv(path: str | Path, header: list[str], rows) -> Path:
+    """Write header and rows as CSV through open_fresh."""
+    path = Path(path)
+    with open_fresh(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -516,7 +528,8 @@ def export_convergence_svg(
         parts.append(_svg_text(lx + 28, ly, label, 12))
     parts.append("</svg>")
     path = Path(path)
-    path.write_text("\n".join(parts) + "\n")
+    with open_fresh(path) as handle:
+        handle.write("\n".join(parts) + "\n")
     return path
 
 

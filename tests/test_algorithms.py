@@ -327,7 +327,9 @@ class TestQigaEvolve:
             for s in range(runs)
         ]
         assert any(len(set(np.round(r.probabilities, 12))) > 1 for r in chromosomes[0].registers)
-        samples = packed.observe(k, [RandomSource(s) for s in range(runs)])
+        registers = -(-n // order)
+        samples = packed.observe(np.stack([RandomSource(s).uniforms(k * registers)
+                                           for s in range(runs)]).reshape(runs, k, registers))
         assert samples.shape == (runs, k, n) and samples.dtype == np.uint8
         for s, chromosome in enumerate(chromosomes):
             rng = RandomSource(s)
@@ -342,7 +344,7 @@ class TestQigaEvolve:
         # 26 genes end on an order-2 register, whose thresholds j / 4 the draws also hit.
         dim, k = 2**order, 3
         draws = (np.arange(k * -(-n // order)) % dim) / dim
-        samples = _PackedRegisters(n, order).observe(k, [FixedDraws(draws)])
+        samples = _PackedRegisters(n, order).observe(draws.reshape(1, k, -1))
         source, chromosome = FixedDraws(draws), chromosome_uniform(n, order)
         expected = [observe_chromosome(chromosome, source) for _ in range(k)]
         assert samples[0].tobytes() == np.array(expected).tobytes()
@@ -1011,6 +1013,48 @@ class TestQiga1Lockstep:
         qiga1_lockstep(problem, config, [RandomSource(s) for s in (1, 2, 3)])
         assert problem.scalar_calls == 3 * 203
         assert problem.batch_shapes == [(5,)] * (3 * 203)  # each from one scalar call
+
+
+class CountingSource(RandomSource):
+    """A RandomSource that counts its uniforms calls."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = 0
+
+    def uniforms(self, n):
+        self.calls += 1
+        return super().uniforms(n)
+
+
+@pytest.mark.parametrize("lockstep, evolve, config, n, width", [
+    pytest.param(qiga_lockstep, qiga_evolve, QigaConfig(order=1, quantum_population_size=7,
+                 max_fitness_evaluations=1003), 250, 250, id="qiga-order-1"),
+    pytest.param(qiga_lockstep, qiga_evolve, QigaConfig(order=2, quantum_population_size=7,
+                 max_fitness_evaluations=1003), 251, 126, id="qiga-order-2-short-register"),
+    pytest.param(qiga_lockstep, qiga_evolve, QigaConfig(order=3, quantum_population_size=7,
+                 max_fitness_evaluations=1003), 250, 84, id="qiga-order-3-short-register"),
+    pytest.param(qiga1_lockstep, qiga1_evolve, Qiga1Config(quantum_population_size=7,
+                 max_fitness_evaluations=1003), 250, 250, id="qiga1"),
+])
+def test_block_draws_leave_each_stream_as_one_draw_per_generation(lockstep, evolve, config, n,
+                                                                  width):
+    # 6 runs of 7-sample generations: a block of LOCKSTEP_CELLS floats holds 65536 //
+    # (6 * 7 * width) generations (6 to 18 here), so each run draws in several blocks, and
+    # 1003 = 7 * 143 + 2 evaluations end on a cut generation inside a cut block.  width is
+    # the register count (qiga) or the gene count (qiga1).
+    problem = load_problem(f"3sat:{n}:{4 * n}:5")
+    pop, budget = config.quantum_population_size, config.max_fitness_evaluations
+    seeds = range(20, 26)
+    sources = [CountingSource(s) for s in seeds]
+    results = lockstep(problem, config, sources)
+    for seed, source, result in zip(seeds, sources, results):
+        assert same_run(result, evolve(problem, config, RandomSource(seed)))
+        per_generation = RandomSource(seed)
+        for first in range(0, budget, pop):
+            per_generation.uniforms(min(pop, budget - first) * width)
+        assert source.gen.bit_generator.state == per_generation.gen.bit_generator.state
+        assert 1 < source.calls < -(-budget // pop) / 5
 
 
 SGA_PROBLEMS = {

@@ -247,6 +247,19 @@ class TestGenCommand:
         assert code == 0
         assert parse_dimacs(path.read_text()).clause_count == 43
 
+    def test_out_over_an_existing_file_replaces_it(self, capsys, tmp_path):
+        # A hard link to the old file keeps the old bytes: gen creates a new file in
+        # place of the old one instead of truncating it.
+        path, fresh, link = tmp_path / "a.cnf", tmp_path / "fresh.cnf", tmp_path / "link.cnf"
+        gen = ("gen", "--vars", "12", "--clauses", "40")
+        assert invoke(capsys, *gen, "--seed", "3", "--out", str(path))[0] == 0
+        old = path.read_bytes()
+        link.hardlink_to(path)
+        assert invoke(capsys, *gen, "--seed", "4", "--out", str(path))[0] == 0
+        assert invoke(capsys, *gen, "--seed", "4", "--out", str(fresh))[0] == 0
+        assert path.read_bytes() == fresh.read_bytes() != old
+        assert link.read_bytes() == old
+
     def test_requires_exactly_one_size_flag(self, capsys):
         assert invoke(capsys, "gen", "--vars", "10", "--out", "x.cnf")[0] == 1
         assert invoke(
@@ -634,6 +647,24 @@ class TestMetaCommand:
         assert "tuning grid must be non-empty" in err
 
 
+@pytest.mark.parametrize("parent", ["file", "missing"])
+@pytest.mark.parametrize("argv, runner", [
+    (["run", "--algo", "qiga2", "--problem", "onemax:6"], "hoqiga.harness.AlgorithmSpec.run_group"),
+    (["meta", "--grid", "0.5,0.9", "--problems", "onemax:8", "--runs", "3", "--maxfe", "200"],
+     "hoqiga.metaopt.run_experiment"),
+], ids=["run", "meta"])
+def test_out_outside_a_directory_fails_before_any_run(capsys, tmp_path, monkeypatch, argv,
+                                                      runner, parent):
+    calls = []
+    monkeypatch.setattr(runner, lambda *args: calls.append(args))
+    (tmp_path / "file").write_text("")
+    out = tmp_path / parent / "x.csv"
+    code, stdout, err = invoke(capsys, *argv, "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert err == f"error: --out {out}: {out.parent} is not a directory\n"
+    assert calls == []
+
+
 def test_demo_plan_and_meta_grid_keep_their_bytes(capsys, tmp_path):
     # sha256 digests of the demo plan's CSVs and convergence SVGs and of one meta grid; a
     # change that keeps results must keep them.  Any two commits can be compared by this
@@ -658,12 +689,14 @@ def test_demo_plan_and_meta_grid_keep_their_bytes(capsys, tmp_path):
     }
 
 
-def test_sat_protocol_traced_benchmark_pass_holds():
-    # The traced pass checks the seed-0 digests pinned in benchmarks/digests.json
-    # and divides by the scalar-fitness and uniforms call counts, so a change
-    # that breaks either fails here.  It writes only under benchmarks/out/.
+@pytest.mark.parametrize("workload", ["sat-protocol", "short-runs-jobs2"])
+def test_traced_benchmark_pass_holds(workload):
+    # Each declared workload's traced pass checks the seed-0 digests pinned in
+    # benchmarks/digests.json and divides by the scalar-fitness and uniforms call
+    # counts, so a change that breaks either fails here.  It writes only under
+    # benchmarks/out/.
     root = Path(__file__).resolve().parents[1]
-    done = subprocess.run([sys.executable, "benchmarks/run.py", "--workload", "sat-protocol",
+    done = subprocess.run([sys.executable, "benchmarks/run.py", "--workload", workload,
                            "--seed", "0", "--seconds", "1", "--trace", "1"],
                           cwd=root, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr

@@ -476,6 +476,27 @@ class TestExports:
             second = (tmp_path / "two" / name).read_bytes()
             assert first == second, name
 
+    def test_export_over_an_old_export_replaces_its_files(self, tmp_path):
+        # The second export into a directory equals a fresh directory's byte for byte.  A
+        # hard link to the old runs.csv keeps the old bytes and a symlinked SVG's target
+        # is left alone: every file is created anew, none truncated or written through.
+        same, fresh = tmp_path / "same", tmp_path / "fresh"
+        export_all(run_experiment(small_plan()), same)
+        old = (same / "runs.csv").read_bytes()
+        (tmp_path / "old-runs.csv").hardlink_to(same / "runs.csv")
+        target = tmp_path / "target.svg"
+        target.write_text("kept\n")
+        (same / "om6.svg").unlink()
+        (same / "om6.svg").symlink_to(target)
+        result = run_experiment(small_plan(base_seed=12))
+        written = export_all(result, same)
+        export_all(result, fresh)
+        assert [p.name for p in written] == ["runs.csv", "aggregate.csv", "ranking.csv", "om6.svg"]
+        for path in written:
+            assert path.read_bytes() == (fresh / path.name).read_bytes(), path.name
+        assert (tmp_path / "old-runs.csv").read_bytes() == old != (same / "runs.csv").read_bytes()
+        assert target.read_text() == "kept\n" and not (same / "om6.svg").is_symlink()
+
     def test_ranking_csv(self, tmp_path):
         ranking = rank_algorithms(
             synthetic_result({("p1", "a"): 1.0, ("p1", "b"): 2.0})
