@@ -284,11 +284,7 @@ class _PackedRegisters:
             dim = 2**block_order
             amplitudes = np.full((runs, layout.count(block_order), dim), math.sqrt(1.0 / dim))
             self.blocks.append((shifts[order - block_order :], amplitudes))
-        # Per block, group weights and register offsets: contract's one flat index.
-        self.flat = [(1 << shifts, np.arange(0, amplitudes.size, amplitudes.shape[2])
-                      .reshape(amplitudes.shape[:2])) for shifts, amplitudes in self.blocks]
         self.thresholds = np.full((runs, 2**order - 1, len(layout)), math.inf)
-        self.value_type = np.min_scalar_type(2**order - 1)
         self.bit_table = ((np.arange(2**order)[:, None] >> shifts) & 1).astype(np.uint8)
         # A short final register's value sets only its low bits, the last columns of its row.
         self.columns = np.r_[: n_bits - layout[-1], -layout[-1] : 0] if layout[-1] < order else None
@@ -301,7 +297,7 @@ class _PackedRegisters:
         group (0.66 MB at k = 10), beside 8 bytes per float64 draw, so at orders <= 3 it is
         smaller than the generation's draws.
         """
-        runs, k, _ = draws.shape
+        runs, top, _ = self.thresholds.shape  # top: the largest value, 2**order - 1
         first = 0
         for _, amplitudes in self.blocks:
             count, dim = amplitudes.shape[1:]
@@ -310,23 +306,24 @@ class _PackedRegisters:
             self.thresholds[:, : dim - 1, first : first + count] = np.cumsum(
                 amplitudes[..., :-1] ** 2, axis=2).transpose(0, 2, 1)
             first += count
-        values = np.add.reduce(self.thresholds[:, None] <= draws[:, :, None], axis=2,
-                               dtype=self.value_type)
-        bits = self.bit_table.take(values, axis=0).reshape(runs, k, -1)
+        values = np.sum(self.thresholds[:, None] <= draws[:, :, None], axis=2,
+                        dtype=np.min_scalar_type(top))
+        bits = self.bit_table.take(values, axis=0).reshape(*draws.shape[:2], -1)
         return bits if self.columns is None else bits.take(self.columns, axis=2)
 
     def contract(self, best: np.ndarray, mu: float) -> None:
         """Contract run s's registers toward best[s], in place; best has shape (runs, n)."""
         pos = 0
-        for (_, amplitudes), (weights, base) in zip(self.blocks, self.flat):
+        for shifts, amplitudes in self.blocks:
             runs, count, _ = amplitudes.shape
-            width = count * len(weights)
-            index = best[:, pos : pos + width].reshape(runs, count, -1) @ weights + base
-            pos += width
+            order = len(shifts)
+            groups = best[:, pos : pos + count * order].reshape(runs, count, order) @ (1 << shifts)
+            pos += count * order
+            index = (np.arange(runs)[:, None], np.arange(count), groups)
             amplitudes *= mu
             squares = amplitudes**2
-            others = squares.sum(axis=2) - squares.take(index)
-            np.put(amplitudes, index, np.sqrt(np.maximum(0.0, 1.0 - others)))
+            others = squares.sum(axis=2) - squares[index]
+            amplitudes[index] = np.sqrt(np.maximum(0.0, 1.0 - others))
             norm2 = (amplitudes**2).sum(axis=2)
             drift = np.abs(norm2 - 1.0) > RENORM_TRIGGER
             if drift.any():
@@ -344,26 +341,31 @@ def _check_problem(problem: FitnessFunction, runs: int = 1) -> int:
 
 def _score(problem: FitnessFunction, rows: np.ndarray) -> np.ndarray:
     """problem.batch over rows, in order, by calls of at most BATCH_ROWS rows."""
-    if len(rows) <= BATCH_ROWS:
-        return np.asarray(problem.batch(rows))
     starts = range(0, len(rows), BATCH_ROWS)
     return np.concatenate([problem.batch(rows[i : i + BATCH_ROWS]) for i in starts])
 
 
-def _draw_blocks(rngs: list[RandomSource], width: int, budget: int, generation: int):
-    """Each generation's (runs, k, width) uniforms in turn, run s's drawn from rngs[s].
+def _drawer(rngs: list[RandomSource], width: int, budget: int, generation: int):
+    """draw(k), the next k samples' (runs, k, width) uniforms, run s's from rngs[s].
 
-    k is cut to the budget as _lockstep cuts it.  A run draws as many generations per
-    uniforms call as keep a block within LOCKSTEP_CELLS floats (at least one), never past the
-    budget; since uniforms(a + b) is uniforms(a) then uniforms(b), the samples and every
-    stream's final state match one uniforms(k * width) call per generation.
+    An empty block refills by one uniforms call per run of the most whole generations that
+    fit LOCKSTEP_CELLS floats (at least one), capped at the budget's samples left; since
+    uniforms(a + b) is uniforms(a) then uniforms(b), the draws and every stream's final state
+    match one uniforms(k * width) call per generation, as long as k never runs past a block.
     """
     size = max(1, LOCKSTEP_CELLS // (len(rngs) * generation * width)) * generation
-    for start in range(0, budget, size):
-        count = min(size, budget - start)
-        block = np.concatenate([r.uniforms(count * width) for r in rngs]).reshape(-1, count, width)
-        for first in range(0, count, generation):
-            yield block[:, first : first + generation]
+    block, left = np.empty((len(rngs), 0, width)), budget
+
+    def draw(k: int) -> np.ndarray:
+        nonlocal block, left
+        if not block.shape[1]:
+            count = min(size, left)
+            left -= count
+            block = np.stack([r.uniforms(count * width) for r in rngs]).reshape(-1, count, width)
+        rows, block = block[:, :k], block[:, k:]
+        return rows
+
+    return draw
 
 
 def _lockstep(score, budget: int, runs: int, generation: int, sample, update) -> list[RunResult]:
@@ -423,10 +425,10 @@ def qiga_lockstep(
     check_order(config.order, n)
     packed = _PackedRegisters(n, config.order, len(rngs))
     budget, pop = config.max_fitness_evaluations, config.quantum_population_size
-    draws = _draw_blocks(rngs, packed.thresholds.shape[2], budget, pop)
+    draw = _drawer(rngs, packed.thresholds.shape[2], budget, pop)
     mu = config.contraction_factor
     return _lockstep(lambda rows: _score(problem, rows), budget, len(rngs), pop,
-                     lambda k: packed.observe(next(draws)),
+                     lambda k: packed.observe(draw(k)),
                      lambda bits, fitness, tracker: packed.contract(tracker.best, mu))
 
 
@@ -457,12 +459,12 @@ def qiga1_lockstep(
     angles = np.array(config.rotation_table)  # indexed 4x + 2b + c, as rotate computes it
     gates = np.stack([np.cos(angles), -np.sin(angles), np.sin(angles)])
     state = np.full((2, runs, pop, n), math.sqrt(0.5))
-    draws = _draw_blocks(rngs, n, config.max_fitness_evaluations, pop)
+    draw = _drawer(rngs, n, config.max_fitness_evaluations, pop)
     # Reused by every rotation: the flat index and the cos, -sin and sin planes it selects.
     index, rotation = np.empty((runs, pop, n), dtype=np.intp), np.empty((3, runs, pop, n))
 
     def observe(k: int) -> np.ndarray:
-        return (next(draws) >= state[0, :, :k] ** 2).astype(np.uint8)
+        return (draw(k) >= state[0, :, :k] ** 2).astype(np.uint8)
 
     def rotate(bits: np.ndarray, fitness: np.ndarray, tracker: _BestTracker) -> None:
         # Only a full generation gets here, so every individual rotates.

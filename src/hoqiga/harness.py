@@ -394,15 +394,16 @@ def _fmt(value: float) -> str:
 
 
 def open_fresh(path: str | Path) -> TextIO:
-    """path created anew for text writing with "\n" line ends; every export goes through here.
+    """path opened for text writing with "\n" line ends; every export goes through here.
 
-    An existing file at path is unlinked first, never truncated in place (on some file
-    systems truncating a flushed file stalls for tens of ms), so a hard link or symlink at
-    path is replaced, not written through.
+    A regular file at path is unlinked, not truncated in place (on some file systems that
+    stalls for tens of ms), so a hard link to it keeps the old bytes; a symlink, device or
+    FIFO there is written through.
     """
     path = Path(path)
-    path.unlink(missing_ok=True)
-    return path.open("x", newline="\n")
+    if path.is_file() and not path.is_symlink():
+        path.unlink(missing_ok=True)
+    return path.open("w", newline="\n")
 
 
 def write_csv(path: str | Path, header: list[str], rows) -> Path:

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -259,6 +260,22 @@ class TestGenCommand:
         assert invoke(capsys, *gen, "--seed", "4", "--out", str(fresh))[0] == 0
         assert path.read_bytes() == fresh.read_bytes() != old
         assert link.read_bytes() == old
+
+    def test_out_to_a_fifo_writes_through_it(self, capsys, tmp_path):
+        # Only a regular file is replaced: a FIFO (like /dev/null or /dev/stdout, which
+        # the test must not touch) stays where it is and receives the formula.
+        fifo, fresh = tmp_path / "out.cnf", tmp_path / "fresh.cnf"
+        os.mkfifo(fifo)
+        gen = ("gen", "--vars", "12", "--clauses", "40", "--seed", "3", "--out")
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # lets the writer open at once
+        try:
+            assert invoke(capsys, *gen, str(fifo))[0] == 0
+            received = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert invoke(capsys, *gen, str(fresh))[0] == 0
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert received == fresh.read_bytes()
 
     def test_requires_exactly_one_size_flag(self, capsys):
         assert invoke(capsys, "gen", "--vars", "10", "--out", "x.cnf")[0] == 1

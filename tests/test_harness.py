@@ -478,14 +478,14 @@ class TestExports:
 
     def test_export_over_an_old_export_replaces_its_files(self, tmp_path):
         # The second export into a directory equals a fresh directory's byte for byte.  A
-        # hard link to the old runs.csv keeps the old bytes and a symlinked SVG's target
-        # is left alone: every file is created anew, none truncated or written through.
+        # hard link to the old runs.csv keeps the old bytes, so each regular file is created
+        # anew, not truncated; a symlinked SVG is written through to its target.
         same, fresh = tmp_path / "same", tmp_path / "fresh"
         export_all(run_experiment(small_plan()), same)
         old = (same / "runs.csv").read_bytes()
         (tmp_path / "old-runs.csv").hardlink_to(same / "runs.csv")
         target = tmp_path / "target.svg"
-        target.write_text("kept\n")
+        target.write_text("old\n")
         (same / "om6.svg").unlink()
         (same / "om6.svg").symlink_to(target)
         result = run_experiment(small_plan(base_seed=12))
@@ -495,7 +495,8 @@ class TestExports:
         for path in written:
             assert path.read_bytes() == (fresh / path.name).read_bytes(), path.name
         assert (tmp_path / "old-runs.csv").read_bytes() == old != (same / "runs.csv").read_bytes()
-        assert target.read_text() == "kept\n" and not (same / "om6.svg").is_symlink()
+        assert (same / "om6.svg").is_symlink()
+        assert target.read_bytes() == (fresh / "om6.svg").read_bytes()
 
     def test_ranking_csv(self, tmp_path):
         ranking = rank_algorithms(
